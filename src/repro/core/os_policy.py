@@ -8,7 +8,7 @@ over the first-class governor subsystem (:mod:`repro.os`):
 :class:`BlockHammerWithOsPolicy` embeds one mechanism-coupled
 :class:`~repro.os.governor.Governor` running a
 :class:`~repro.os.policies.KillPolicy`, reviewed from
-``on_time_advance`` so kill timing is bit-identical to the original
+``advance_to`` so kill timing is bit-identical to the original
 hardwired implementation (one instance per channel, each watching its
 own channel's RHLI).
 
@@ -64,10 +64,6 @@ class BlockHammerWithOsPolicy(BlockHammer):
         if self.review_interval_ns is None:
             self.review_interval_ns = self.config.epoch_ns
         self.governor.bind_mechanism(self, epoch_ns=self.review_interval_ns)
-
-    def on_time_advance(self, now: float) -> None:
-        super().on_time_advance(now)
-        self.governor.advance(now)
 
     def advance_to(self, now: float) -> float:
         # Fold the governor's next review deadline into the quiescence

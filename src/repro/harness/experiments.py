@@ -45,13 +45,12 @@ from repro.mitigations.registry import PAPER_MECHANISMS
 from repro.os.spec import GovernorSpec
 from repro.utils.validation import require
 from repro.workloads.mixes import (
-    ATTACKER_THREAD,
     WorkloadMix,
     attack_mixes,
     benign_mixes,
     mix_row_offset,
 )
-from repro.workloads.profiles import TABLE8_PROFILES, Category
+from repro.workloads.profiles import TABLE8_PROFILES
 
 
 def _stat(fn, values):
@@ -287,26 +286,6 @@ def assemble_mix_rows(
                 )
             )
     return rows
-
-
-def run_mix_sweep(
-    hcfg: HarnessConfig,
-    mixes: list[WorkloadMix],
-    mechanisms: list[str],
-    scenario: str,
-    runner: Runner | None = None,
-    workers: int | None = None,
-    cache=None,
-) -> list[MixOutcomeRow]:
-    """Run every (mix, mechanism) pair plus the shared baseline.
-
-    ``runner`` is accepted for backward compatibility; cross-run reuse
-    now happens through job deduplication instead of a shared Runner.
-    """
-    del runner
-    jobs = mix_sweep_jobs(hcfg, mixes, mechanisms)
-    results = run_jobs(jobs, workers, cache=cache)
-    return assemble_mix_rows(hcfg, mixes, mechanisms, scenario, results)
 
 
 def fig5_multicore(

@@ -467,7 +467,6 @@ def pool_available() -> bool:
 def run_jobs(
     jobs: list[SimJob],
     workers: int | None = None,
-    chunksize: int = 1,
     cache: ResultCache | bool | None = None,
     policy: ExecPolicy | None = None,
     on_error: str | None = None,
@@ -499,10 +498,7 @@ def run_jobs(
     :class:`~repro.harness.retry.ExecPolicy`; ``on_error`` overrides its
     disposition.  ``faults`` injects deterministic chaos (tests only).
     ``report`` accumulates progress/failure counts across calls.
-    ``chunksize`` is accepted for backward compatibility and ignored
-    (dispatch is per-future so results can checkpoint incrementally).
     """
-    del chunksize
     global _LAST_REPORT
     ordered = dedupe_jobs(jobs)
     pol = resolve_policy(policy, on_error)

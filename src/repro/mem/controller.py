@@ -18,7 +18,7 @@ Priority order within a step:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.aggregate import merge_fields
 
@@ -29,7 +29,7 @@ from repro.dram.spec import DramSpec
 from repro.mem.queues import RequestQueue
 from repro.mem.refresh import RefreshManager
 from repro.mem.request import Request, ServiceClass
-from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy, Selection
+from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
 from repro.mitigations.base import MitigationMechanism, NoMitigation
 from repro.utils.validation import require
 
@@ -319,23 +319,6 @@ class MemoryController:
         _, wake = self.run_until(now, _peek_nothing, now)
         return wake
 
-    def next_event_time(self, now: float) -> float:
-        """The channel's quiescence horizon: the earliest future instant
-        at which this controller can make progress, folding the refresh
-        deadline, victim-refresh backlog and the scheduler's normative
-        ``Selection.next_ready`` into one time.  Returns ``now`` when a
-        command could issue immediately (or conservatively when victim
-        refreshes are pending), ``_NEVER`` when fully idle.
-        """
-        due = self.refresh.earliest
-        if due <= now or self._pending_vref_count:
-            return now
-        selection = self._select_request_command(now, _NO_RANKS)
-        if selection.command is not None:
-            return now
-        wake = selection.next_ready
-        return due if due < wake else wake
-
     def run_until(self, now: float, peek, hard_limit: float) -> tuple[int, float]:
         """Run scheduling steps starting at ``now``, leaping local time
         from each step directly to the next, until the next step would
@@ -426,12 +409,12 @@ class MemoryController:
                 elif w < wake:
                     wake = w
 
-            # 3. Normal requests.  Inlined drain-mode + policy dispatch
-            # (keep in lockstep with _select_request_command, which
-            # serves the probe/oracle path): writes are served in
-            # batches — forced drain above the high watermark,
-            # opportunistic drain when reads are idle and a batch has
-            # accumulated.
+            # 3. Normal requests.  Writes are served in batches: forced
+            # drain above the high watermark, opportunistic drain when
+            # reads are idle and a batch has accumulated.  Outside those
+            # windows, writes never issue row commands — a lone write's
+            # precharge would ping-pong open rows underneath the read
+            # stream.
             if not issued:
                 writes_pending = len(write_items)
                 if writes_pending >= drain_high:
@@ -579,42 +562,6 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Normal request handling.
     # ------------------------------------------------------------------
-    def _select_request_command(
-        self, now: float, blocked_ranks: frozenset[int]
-    ) -> Selection:
-        """Run the policy over reads/writes per the drain mode."""
-        writes_pending = len(self._write_items)
-        if writes_pending >= self.config.write_drain_high:
-            self._write_draining = True
-        elif writes_pending <= self.config.write_drain_low:
-            self._write_draining = False
-
-        # Writes are served in batches: forced drain above the high
-        # watermark, opportunistic drain when reads are idle and a batch
-        # has accumulated.  Outside those windows, writes never issue
-        # row commands — a lone write's precharge would ping-pong open
-        # rows underneath the read stream.
-        opportunistic = not self._read_items and (
-            writes_pending >= self.config.write_drain_low
-        )
-        if self._write_draining or opportunistic:
-            sel = self.policy.select(
-                self.write_queue, self.device, self.mitigation, now, blocked_ranks
-            )
-            if sel.command is not None:
-                return sel
-            sel2 = self.policy.select(
-                self.read_queue, self.device, self.mitigation, now, blocked_ranks
-            )
-            if sel2.command is not None:
-                return sel2
-            return Selection(None, None, min(sel.next_ready, sel2.next_ready))
-
-        sel = self.policy.select(
-            self.read_queue, self.device, self.mitigation, now, blocked_ranks
-        )
-        return sel
-
     def _issue_for_request(self, cmd: Command, request: Request, now: float) -> None:
         """Commit a policy-selected command and update request state."""
         self.device.issue(cmd, now)

@@ -8,6 +8,7 @@ performance of a RowHammer attack should not be accounted for").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.validation import require
@@ -44,6 +45,17 @@ def maximum_slowdown(shared_ipc: dict[int, float], alone_ipc: dict[int, float]) 
     )
 
 
+def _ratio(value: float, baseline: float) -> float:
+    """``value / baseline`` with IEEE semantics for a zero baseline
+    (x/0 -> ±inf, 0/0 -> nan) instead of ZeroDivisionError: a baseline
+    benign thread that retires nothing has harmonic speedup 0."""
+    if baseline == 0:
+        if value == 0 or math.isnan(value):
+            return math.nan
+        return math.copysign(math.inf, value)
+    return value / baseline
+
+
 @dataclass(frozen=True)
 class MultiprogramMetrics:
     """The three paper metrics for one workload run."""
@@ -55,9 +67,9 @@ class MultiprogramMetrics:
     def normalized_to(self, baseline: "MultiprogramMetrics") -> "MultiprogramMetrics":
         """Each metric divided by the baseline's (Figure 5/6 style)."""
         return MultiprogramMetrics(
-            weighted_speedup=self.weighted_speedup / baseline.weighted_speedup,
-            harmonic_speedup=self.harmonic_speedup / baseline.harmonic_speedup,
-            maximum_slowdown=self.maximum_slowdown / baseline.maximum_slowdown,
+            weighted_speedup=_ratio(self.weighted_speedup, baseline.weighted_speedup),
+            harmonic_speedup=_ratio(self.harmonic_speedup, baseline.harmonic_speedup),
+            maximum_slowdown=_ratio(self.maximum_slowdown, baseline.maximum_slowdown),
         )
 
 

@@ -33,7 +33,7 @@ gracefully to "no signal" instead of every mechanism having to opt in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dram.spec import DramSpec
@@ -116,17 +116,6 @@ class MitigationMechanism:
         # forever: the incremental FR-FCFS policy checks this flag once
         # per step and caches bank decisions until the bank is dirtied.
         self.never_blocks = type(self).act_allowed_at is MitigationMechanism.act_allowed_at
-        # Mechanisms that inherit the base (no-op) on_time_advance have
-        # no time-driven state at all: their default quiescence horizon
-        # is "never".  A subclass that overrides on_time_advance without
-        # also overriding advance_to falls back to the conservative
-        # horizon (-inf), which makes the controller call advance_to on
-        # every scheduling step — the legacy per-step cadence.
-        self._default_horizon = (
-            _FOREVER
-            if type(self).on_time_advance is MitigationMechanism.on_time_advance
-            else -_FOREVER
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -144,9 +133,6 @@ class MitigationMechanism:
         if self.context is not None:
             self.obs_track = self.context.channel
 
-    def on_time_advance(self, now: float) -> None:
-        """Periodic maintenance hook, called once per controller step."""
-
     def advance_to(self, now: float) -> float:
         """Advance time-driven state to ``now`` and return the
         **quiescence horizon**: the next instant at which this
@@ -162,12 +148,11 @@ class MitigationMechanism:
         steps, and re-invokes it at the first step at or past the
         horizon.  Horizons may be conservative (early) but never late.
 
-        The default advances via :meth:`on_time_advance` and returns
-        +inf for mechanisms with no time-driven state; subclasses with
-        periodic state override this to report their next deadline.
+        The default returns +inf: the mechanism has no time-driven
+        state.  Subclasses with periodic state override this to advance
+        it and report their next deadline.
         """
-        self.on_time_advance(now)
-        return self._default_horizon
+        return _FOREVER
 
     # ------------------------------------------------------------------
     # Proactive throttling.
@@ -251,7 +236,7 @@ class MitigationMechanism:
         ``thread_max_rhli`` (RHLI), ``throttler`` (blacklist events),
         ``delay_stats`` (RowBlocker delay counters) — so mechanisms
         without those report ``None``/zero rather than raising.  The
-        cadence contract matches ``on_time_advance``: counters are
+        cadence contract matches ``advance_to``: counters are
         cumulative over the run, RHLI reflects the current epoch.
         """
         rhli = None

@@ -45,14 +45,11 @@ class NaiveThrottling(MitigationMechanism):
         self._window_end = context.spec.tREFW
         self._static_gap = context.spec.tREFW / self.threshold
 
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         while now >= self._window_end:
             self._counts.clear()
             self._last_act.clear()
             self._window_end += self.context.spec.tREFW
-
-    def advance_to(self, now: float) -> float:
-        self.on_time_advance(now)
         return self._window_end
 
     def act_allowed_at(self, rank: int, bank: int, row: int, thread: int, now: float) -> float:

@@ -71,7 +71,7 @@ class ProHit(MitigationMechanism):
             cold.insert(0, row)
             del cold[self.cold_entries:]
 
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         # Once per tREFI, refresh the neighbors of each bank's hottest
         # tracked row (piggybacking on the auto-refresh cadence).
         while now >= self._next_tick:
@@ -83,7 +83,4 @@ class ProHit(MitigationMechanism):
                     self.queue_victim_refresh(rank, bank, victim)
                     self.refreshes_injected += 1
             self._next_tick += self.context.spec.tREFI
-
-    def advance_to(self, now: float) -> float:
-        self.on_time_advance(now)
         return self._next_tick

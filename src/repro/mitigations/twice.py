@@ -56,7 +56,7 @@ class TWiCe(MitigationMechanism):
         self._next_prune = spec.tREFI
 
     # ------------------------------------------------------------------
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         while now >= self._next_prune:
             for table in self._tables.values():
                 dead = []
@@ -67,9 +67,6 @@ class TWiCe(MitigationMechanism):
                 for row in dead:
                     del table[row]
             self._next_prune += self.context.spec.tREFI
-
-    def advance_to(self, now: float) -> float:
-        self.on_time_advance(now)
         return self._next_prune
 
     def on_activate(self, rank: int, bank: int, row: int, thread: int, now: float) -> None:

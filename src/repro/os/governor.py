@@ -16,7 +16,7 @@ sink).  Two deployments share this one class:
   — ``MemorySystem.os_telemetry``).
 * **mechanism-coupled** — :meth:`bind_mechanism` embeds the governor in
   one mechanism instance (``BlockHammerWithOsPolicy``), reviews are
-  driven from the mechanism's ``on_time_advance``, and actions are
+  driven from the mechanism's ``advance_to``, and actions are
   *recorded only*: the mechanism enforces kills itself through its
   in-flight quotas, preserving the original per-channel ``blockhammer-
   os`` semantics bit-exactly.

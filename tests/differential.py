@@ -41,8 +41,9 @@ stream in the simulation.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.runner import HarnessConfig, Runner
 from repro.mem.scheduler import FrFcfsPolicy, ReferenceFrFcfsPolicy, SchedulingPolicy
 from repro.os.spec import GovernorSpec
@@ -160,9 +161,13 @@ def run_policy(
     instructions: int = 2500,
     warmup_ns: float = 2000.0,
     scale: float = 128.0,
+    ranks: int = 1,
 ) -> DifferentialRun:
-    """Simulate (scenario, seed, channels) under ``policy``."""
+    """Simulate (scenario, seed, channels) under ``policy`` on a
+    ``ranks``-rank device (more than one rank routes the fast policy
+    through its every-bank ``_scan_select`` permanently)."""
     hcfg = HarnessConfig(
+        base_spec=replace(DDR4_2400, ranks=ranks),
         scale=scale,
         instructions_per_thread=instructions,
         warmup_ns=warmup_ns,

@@ -1,6 +1,7 @@
 """Differential scheduler tests: fast FR-FCFS ≡ naive reference.
 
-Sweeps seeds × {benign, attack, mixed} × {1, 2, 4} channels through the
+Sweeps seeds × scenarios × {1, 2, 4} channels (plus 2 ranks × 1
+channel, the multi-rank every-bank scan path) through the
 incremental :class:`FrFcfsPolicy` and the naive
 :class:`ReferenceFrFcfsPolicy` and asserts full command-trace equality
 — every DRAM command's (time, kind, rank, bank, row, col) on every
@@ -43,6 +44,19 @@ from repro.mem.scheduler import FrFcfsPolicy, ReferenceFrFcfsPolicy
 @pytest.mark.parametrize("channels", [1, 2, 4])
 def test_fast_policy_matches_reference(scenario, seed, channels):
     fast, ref = run_pair(scenario, seed, channels)
+    assert_equivalent(fast, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_fast_policy_matches_reference_two_ranks(scenario, seed):
+    """Two ranks on one channel: the fast policy runs its every-bank
+    ``_scan_select`` on every step (the single-rank closure does not
+    apply), so this is that path's comparison with the reference.  The
+    governed scenario's footprint reaches both ranks."""
+    fast, ref = run_pair(scenario, seed, 1, ranks=2)
+    if scenario == "governed":
+        assert {command[2] for command in fast.commands[0]} == {0, 1}
     assert_equivalent(fast, ref)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for multiprogrammed performance metrics."""
 
+import math
+
 import pytest
 
 from repro.metrics.speedup import (
@@ -62,3 +64,18 @@ def test_weighted_speedup_bounded_by_thread_count():
     shared = {i: 1.0 for i in range(8)}
     alone = {i: 1.0 for i in range(8)}
     assert weighted_speedup(shared, alone) == pytest.approx(8.0)
+
+
+def test_normalize_to_zero_harmonic_baseline():
+    """A baseline benign thread that retired nothing has harmonic speedup
+    0 and maximum slowdown inf: normalization follows IEEE division
+    (x/0 -> inf, 0/0 -> nan, inf/inf -> nan) instead of raising."""
+    inf = float("inf")
+    baseline = MultiprogramMetrics(1.0, 0.0, inf)
+    normalized = MultiprogramMetrics(0.8, 0.5, inf).normalized_to(baseline)
+    assert normalized.weighted_speedup == pytest.approx(0.8)
+    assert normalized.harmonic_speedup == inf
+    assert math.isnan(normalized.maximum_slowdown)
+    stalled = MultiprogramMetrics(0.5, 0.0, 2.0).normalized_to(baseline)
+    assert math.isnan(stalled.harmonic_speedup)
+    assert stalled.maximum_slowdown == 0.0

@@ -49,7 +49,7 @@ def test_graphene_resets_each_refresh_window():
     graphene = Graphene(threshold=100)
     graphene.attach(make_context())
     graphene.on_activate(0, 0, 7, 0, 0.0)
-    graphene.on_time_advance(DDR4_2400.tREFW + 1.0)
+    graphene.advance_to(DDR4_2400.tREFW + 1.0)
     assert graphene._tables == {}
 
 
@@ -78,7 +78,7 @@ def test_twice_prunes_cold_entries():
     twice.on_activate(0, 0, 100, 0, 0.0)  # one ACT: far below prune rate
     assert 100 in twice._tables[(0, 0)]
     # After enough pruning intervals the cold entry dies.
-    twice.on_time_advance(20 * DDR4_2400.tREFI)
+    twice.advance_to(20 * DDR4_2400.tREFI)
     assert 100 not in twice._tables[(0, 0)]
 
 
@@ -91,7 +91,7 @@ def test_twice_keeps_hot_entries():
         for _ in range(200):
             twice.on_activate(0, 0, 100, 0, now)
         now += DDR4_2400.tREFI
-        twice.on_time_advance(now)
+        twice.advance_to(now)
     assert twice.max_table_entries >= 1
     assert twice.refreshes_injected > 0
 
@@ -130,7 +130,7 @@ def test_cbt_resets_every_window():
     cbt = CounterBasedTree()
     cbt.attach(make_context())
     cbt.on_activate(0, 0, 100, 0, 0.0)
-    cbt.on_time_advance(DDR4_2400.tREFW + 1.0)
+    cbt.advance_to(DDR4_2400.tREFW + 1.0)
     assert cbt._roots == {}
 
 

@@ -52,7 +52,7 @@ def test_naive_throttle_window_rollover_unblocks():
     mechanism.attach(make_context(nrh=64))
     for _ in range(32):
         mechanism.on_activate(0, 0, 9, 0, 0.0)
-    mechanism.on_time_advance(DDR4_2400.tREFW + 1.0)
+    mechanism.advance_to(DDR4_2400.tREFW + 1.0)
     t = DDR4_2400.tREFW + 2.0
     assert mechanism.act_allowed_at(0, 0, 9, 0, t) == t
 

@@ -91,7 +91,7 @@ def test_prohit_promotes_and_refreshes_hot_rows():
     for _ in range(10):
         prohit.on_activate(0, 0, 500, 0, 0.0)
     # Advance past one tREFI tick: hottest entry's neighbors refreshed.
-    prohit.on_time_advance(DDR4_2400.tREFI + 1.0)
+    prohit.advance_to(DDR4_2400.tREFI + 1.0)
     vrefs = prohit.drain_victim_refreshes()
     assert (0, 0, 499) in vrefs and (0, 0, 501) in vrefs
 
@@ -101,7 +101,7 @@ def test_prohit_insert_probability_filters():
     prohit.attach(make_context())
     for _ in range(100):
         prohit.on_activate(0, 0, 500, 0, 0.0)
-    prohit.on_time_advance(DDR4_2400.tREFI + 1.0)
+    prohit.advance_to(DDR4_2400.tREFI + 1.0)
     assert prohit.drain_victim_refreshes() == []
 
 
