@@ -68,22 +68,26 @@ def _hcfg():
 def provenance() -> dict:
     """Where and how this report was produced: numbers in
     ``BENCH_speed.json`` are only comparable across commits when the
-    interpreter and host class match, so stamp them."""
+    interpreter and host class match, so stamp them.  ``git_dirty``
+    marks a report measured on uncommitted tracked changes, whose
+    ``git_sha`` names only the commit they sit on (None when git
+    status is unavailable)."""
     import platform
 
-    head = subprocess.run(
-        ["git", "rev-parse", "HEAD"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=False
+        )
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_sha": head.stdout.strip() or None,
+        "git_dirty": bool(status.stdout.strip()) if status.returncode == 0 else None,
     }
 
 

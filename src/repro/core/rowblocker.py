@@ -33,10 +33,6 @@ class DelayStats:
     false_positive_delays_ns: list[float] = field(default_factory=list)
 
     @property
-    def delayed_fraction(self) -> float:
-        return self.delayed_acts / self.total_acts if self.total_acts else 0.0
-
-    @property
     def false_positive_rate(self) -> float:
         """Mistakenly-delayed activations as a fraction of all ACTs."""
         return self.false_positive_acts / self.total_acts if self.total_acts else 0.0

@@ -168,15 +168,12 @@ class MemoryController:
         self.vref_count = 0
         self.commands_issued = 0
         self.total_enqueued = 0
-        # Fused per-queue select closures (policies that support them):
-        # the batched hot loop calls these when no rank is refresh-
-        # draining, skipping the per-call rebinding of every stable
-        # object the incremental scheduler touches.
-        make_fused = getattr(self.policy, "make_fused", None)
-        self._fused_read = self._fused_write = None
-        if make_fused is not None:
-            self._fused_read = make_fused(self.read_queue, self.device, self.mitigation)
-            self._fused_write = make_fused(self.write_queue, self.device, self.mitigation)
+        # One scheduling step per queue, bound once: the policy
+        # prebinds every stable object it touches, so the batched hot
+        # loop pays no per-call rebinding.
+        make_fused = self.policy.make_fused
+        self._select_read = make_fused(self.read_queue, self.device, self.mitigation)
+        self._select_write = make_fused(self.write_queue, self.device, self.mitigation)
         # Bound invalidation endpoints for the per-command hot path
         # (_issue_for_request): equivalent to _invalidate_bank, minus
         # two method frames per issued command.
@@ -271,10 +268,6 @@ class MemoryController:
             request.service_class = ServiceClass.CONFLICT
             stats.row_conflicts += 1
 
-    def inflight_for(self, thread: int, rank: int, bank: int) -> int:
-        """Current in-flight request count for a <thread, bank> pair."""
-        return self._inflight.get((thread << 16) | bank_key(rank, bank), 0)
-
     # ------------------------------------------------------------------
     # Dirty-bank tracking for the incremental scheduler.
     # ------------------------------------------------------------------
@@ -346,12 +339,8 @@ class MemoryController:
         drain_low = config.write_drain_low
         read_items = self._read_items
         write_items = self._write_items
-        read_queue = self.read_queue
-        write_queue = self.write_queue
-        device = self.device
-        policy_select = self.policy.select_raw
-        fused_read = self._fused_read
-        fused_write = self._fused_write
+        select_read = self._select_read
+        select_write = self._select_write
         issue_for = self._issue_for_request
         advance_to = mitigation.advance_to
         pv = mitigation._pending_vrefs
@@ -421,29 +410,14 @@ class MemoryController:
                     draining = True
                 elif writes_pending <= drain_low:
                     draining = False
-                fused = fused_read is not None and not blocked_ranks
                 if draining or (not read_items and writes_pending >= drain_low):
-                    if fused:
-                        cmd, req, ready = fused_write(t)
-                    else:
-                        cmd, req, ready = policy_select(
-                            write_queue, device, mitigation, t, blocked_ranks
-                        )
+                    cmd, req, ready = select_write(t, blocked_ranks)
                     if cmd is None:
-                        if fused:
-                            cmd, req, ready2 = fused_read(t)
-                        else:
-                            cmd, req, ready2 = policy_select(
-                                read_queue, device, mitigation, t, blocked_ranks
-                            )
+                        cmd, req, ready2 = select_read(t, blocked_ranks)
                         if ready2 < ready:
                             ready = ready2
-                elif fused:
-                    cmd, req, ready = fused_read(t)
                 else:
-                    cmd, req, ready = policy_select(
-                        read_queue, device, mitigation, t, blocked_ranks
-                    )
+                    cmd, req, ready = select_read(t, blocked_ranks)
                 if cmd is not None:
                     issue_for(cmd, req, t)
                     issued = True

@@ -47,12 +47,12 @@ class RequestQueue:
         "_items",
         "by_bank",
         "bank_cache",
-        "wake_heaps",
-        "ready_heaps",
+        "hit_heap",
+        "ready_hits",
+        "rank_heaps",
         "expiry_heap",
         "heap_seq",
         "dirty",
-        "hot",
         "_next_seq",
     )
 
@@ -70,48 +70,37 @@ class RequestQueue:
         #: may insert entries: it mirrors each store into the lazy heaps
         #: below, which its steps-with-nothing-ready fast path relies on.
         self.bank_cache: dict[int, tuple] = {}
-        #: Lazy min-heaps over live cache entries' bank-local times, one
-        #: per wake class (hit-column / ACT-gate / PRE-gate).  Items are
-        #: (local_t, heap_seq, bank_key, entry); an item is dead when
-        #: ``bank_cache[bank_key] is not entry``.  Maintained entirely
-        #: by the scheduler — see ``FrFcfsPolicy.select``.
-        self.wake_heaps: tuple[list, list, list] = ([], [], [])
-        #: Per-class lazy min-heaps, keyed by arrival order
-        #: (``queue_seq``), of entries whose *bank-local* time has come
-        #: due — readiness then depends only on the class's shared
-        #: scalar, and the FR-FCFS winner is simply the live top (the
-        #: oldest locally-ready candidate).  A bank-local time never
-        #: un-passes, so items migrate here from ``wake_heaps`` once
-        #: and stay until their entry dies.  Items are
-        #: (queue_seq, bank_key, entry).
-        self.ready_heaps: tuple[list, list, list] = ([], [], [])
-        #: Lazy min-heap of entry expiry instants (same item shape).
+        #: Lazy min-heaps over live cache entries.  Every entry sits in
+        #: one *wake* heap keyed by its bank-local time (hit column
+        #: timing / ACT gate / PRE gate), items (local_t, heap_seq,
+        #: bank_key, entry).  Once that time has come due, readiness
+        #: depends only on the class's shared scalar, so the item
+        #: migrates (once: a bank-local time never un-passes) to the
+        #: class's *ready* heap keyed by arrival order, items
+        #: (queue_seq, bank_key, entry), whose live top is the FR-FCFS
+        #: winner.  An item is dead when ``bank_cache[bank_key] is not
+        #: entry``.  Maintained entirely by the scheduler — see
+        #: ``FrFcfsPolicy.make_fused``.
+        #:
+        #: Hits share the channel's data bus, so their two heaps are
+        #: channel-wide.
+        self.hit_heap: list = []
+        self.ready_hits: list = []
+        #: Row commands are gated per rank (tRRD/tFAW for ACT, refresh
+        #: draining for both), so ``rank_heaps[rank]`` holds that
+        #: rank's (ACT wake, PRE wake, ACT ready, PRE ready) heaps.  The
+        #: scheduler appends one tuple per device rank when it binds.
+        self.rank_heaps: list[tuple[list, list, list, list]] = []
+        #: Lazy min-heap of entry expiry instants (wake-heap item shape).
         self.expiry_heap: list = []
         #: Monotonic tiebreaker for heap items (entry tuples containing
         #: Requests do not order).
         self.heap_seq = 0
         #: Banks needing re-examination: every invalidation records the
         #: key here so a scheduling step walks the dirtied banks only,
-        #: never the whole queue.  Drained by ``FrFcfsPolicy.select``.
+        #: never the whole queue.  Drained by the scheduling step
+        #: ``FrFcfsPolicy.make_fused`` returns.
         self.dirty: set[int] = set()
-        #: One-tuple bundle of every stable scheduler structure above:
-        #: the incremental select unpacks this once per call instead of
-        #: performing ten attribute loads.  All referenced objects are
-        #: mutated in place and never reassigned.
-        hit_heap, act_heap, pre_heap = self.wake_heaps
-        ready_hits, ready_acts, ready_pres = self.ready_heaps
-        self.hot = (
-            self.bank_cache,
-            self.by_bank,
-            self.dirty,
-            self.expiry_heap,
-            hit_heap,
-            act_heap,
-            pre_heap,
-            ready_hits,
-            ready_acts,
-            ready_pres,
-        )
         self._next_seq = 0
 
     @property

@@ -41,17 +41,18 @@ and one step re-examines only *dirty* banks:
   ``now`` reaches it (tracked in a lazy expiry heap).
 
 Clean banks are never visited at all.  This incremental step has one
-implementation, the closure :meth:`FrFcfsPolicy.make_fused` returns;
-refresh-draining windows and multi-rank devices take the every-bank
-``_scan_select`` over the same cache.  Entries live in per-class lazy
-min-heaps keyed by their bank-local time (hit column timing / ACT gate
-/ PRE gate); because a per-bank wake is ``max(bank-local time, shared
-scalar)`` and the shared scalar (data-bus occupancy, rank tRRD/tFAW) is
-class-wide, the exact ``next_ready`` falls out of three heap tops.
+implementation, the closure :meth:`FrFcfsPolicy.make_fused` returns,
+for every device and every refresh window.  Entries live in per-class
+lazy min-heaps keyed by their bank-local time (hit column timing / ACT
+gate / PRE gate).  A per-bank wake is ``max(bank-local time, shared
+scalar)``, and each heap holds exactly the banks that share one scalar:
+the hit heap is channel-wide (data-bus occupancy), the ACT and PRE
+heaps are per rank (tRRD/tFAW readiness; and a refresh-draining rank
+skips both), so the exact ``next_ready`` falls out of the heap tops.
 Once a bank-local time passes it never un-passes, so entries migrate
 to per-class *ready* heaps ordered by arrival (``queue_seq``), whose
 live top is the FR-FCFS winner.  A scheduling step is therefore
-O(dirtied banks + expired verdicts + heap-top maintenance), not
+O(dirtied banks + expired verdicts + ranks + heap-top maintenance), not
 O(queued requests) and not even O(banks).
 
 Selected commands are identical to the naive scan's.  The set and
@@ -119,14 +120,15 @@ class Selection:
     wake-driven (a ready command issues at the controller's first wake
     at or after its ready instant), so two policies only produce
     identical command streams if they report identical wake times.
-    Every FR-FCFS implementation in this module therefore computes the
-    same pure function of simulator state — the minimum over banks with
+    The incremental step and the reference scan in this module therefore
+    compute the same pure function of simulator state — the minimum over banks with
     queued requests of:
 
     * a bank with a queued row-buffer hit: the oldest hit's column
       ready time, ``max(bank column timing, data-bus constraint)``
       (hit-protected banks contribute nothing else);
-    * otherwise, on a refresh-draining rank: nothing;
+    * otherwise, on a refresh-draining rank: nothing (hits on that
+      rank still count above);
     * otherwise, with a RowHammer-safe request (the oldest safe request
       is the bank's decider): the row-command gate alone — ACT:
       ``max(bank ACT timing, rank tRRD/tFAW)``, PRE: bank PRE timing.
@@ -147,9 +149,6 @@ class SchedulingPolicy:
     """Interface: pick the next command for a set of queued requests."""
 
     name = "base"
-    #: Trace probe (``mem`` category), bound by the System when a
-    #: telemetry bus is attached; only rare branches may emit.
-    probe = None
 
     def select(
         self,
@@ -169,14 +168,31 @@ class SchedulingPolicy:
         now: float,
         blocked_ranks: frozenset[int],
     ) -> tuple[Command | None, Request | None, float]:
-        """Tuple-returning form of :meth:`select` for the controller's
-        batched hot loop: ``(command, request, next_ready)`` with the
-        exact same normative contents, minus the Selection allocation.
-        Policies may override with a native implementation; the default
-        wraps :meth:`select`.
+        """Tuple-returning form of :meth:`select`: ``(command, request,
+        next_ready)`` with the exact same normative contents.  The
+        default wraps :meth:`select`.
         """
         sel = self.select(requests, device, mitigation, now, blocked_ranks)
         return sel.command, sel.request, sel.next_ready
+
+    def make_fused(
+        self,
+        requests,
+        device: DramDevice,
+        mitigation: MitigationMechanism,
+    ):
+        """Bind the scheduling step the controller calls for one queue:
+        ``fused(now, blocked_ranks) -> (command, request, next_ready)``
+        with the :meth:`select_raw` contract.  The default forwards to
+        :meth:`select_raw`; :class:`FrFcfsPolicy` binds its incremental
+        step instead.
+        """
+        select_raw = self.select_raw
+
+        def fused(now: float, blocked_ranks: frozenset[int]):
+            return select_raw(requests, device, mitigation, now, blocked_ranks)
+
+        return fused
 
 
 def _examine_bank(
@@ -247,63 +263,61 @@ class FrFcfsPolicy(SchedulingPolicy):
 
     Incremental: re-examines only banks whose queue contents, row-buffer
     state, or mitigation verdicts changed since the last step (see the
-    module docstring for the dirty/expiry protocol).  :meth:`select_raw`
-    dispatches plain lists (no cache) to the reference scan, refresh
-    windows and multi-rank devices to :meth:`_scan_select`, and
-    everything else to a :meth:`make_fused` closure.
+    module docstring for the dirty/expiry protocol).  The step
+    :meth:`make_fused` binds is the policy's one implementation, on
+    every device and in every refresh window.  Queues must be
+    :class:`~repro.mem.queues.RequestQueue` instances, which carry the
+    cache and heaps across steps.
     """
 
     name = "fr-fcfs"
 
     def select(
         self,
-        requests,
+        requests: RequestQueue,
         device: DramDevice,
         mitigation: MitigationMechanism,
         now: float,
         blocked_ranks: frozenset[int],
     ) -> Selection:
-        command, request, next_ready = self.select_raw(
-            requests, device, mitigation, now, blocked_ranks
+        return Selection(
+            *self._scan_select(requests, device, mitigation, now, blocked_ranks)
         )
-        return Selection(command, request, next_ready)
 
-    def select_raw(
+    def _scan_select(
         self,
-        requests,
+        requests: RequestQueue,
         device: DramDevice,
         mitigation: MitigationMechanism,
         now: float,
         blocked_ranks: frozenset[int],
     ) -> tuple[Command | None, Request | None, float]:
-        if not isinstance(requests, RequestQueue):
-            sel = _naive_select(requests, device, mitigation, now, blocked_ranks)
-            return sel.command, sel.request, sel.next_ready
-        if blocked_ranks or len(device.ranks) != 1:
-            # Refresh-draining windows and multi-rank devices (whose
-            # per-rank ACT constraint does not factor out of the class
-            # minima) take the every-bank scan.
-            if self.probe is not None:
-                self.probe(
-                    now, "sched_full_scan", 0, blocked_ranks=len(blocked_ranks)
-                )
-            sel = self._scan_select(requests, device, mitigation, now, blocked_ranks)
-            return sel.command, sel.request, sel.next_ready
-        return self.make_fused(requests, device, mitigation)(now)
+        """One step outside a controller: bind a step, then run it once.
 
-    def make_fused(self, requests, device, mitigation):
-        """The incremental FR-FCFS path, specialized for one fixed
-        (queue, device, mitigation) triple.
+        Callers of :meth:`select`/:meth:`select_raw` (unit tests,
+        tooling) hold no bound step; the cache and heaps live on the
+        queue, so consecutive calls stay incremental.  The perfbench
+        layer ledger wraps this entry point by name, which is why it
+        keeps the name of the every-bank scan it replaced.
+        """
+        return self.make_fused(requests, device, mitigation)(now, blocked_ranks)
 
-        Returns ``fused(now) -> (command, request, next_ready)`` with
-        every stable object — the queue's cache/heap bundle, the flat
-        bank table, the mitigation's gate — prebound as closure cells,
-        or None when the fast path does not apply (plain-list queue,
-        multi-rank device).  The closure must only be called with no
-        refresh-draining ranks; mutable scalars (bus occupancy, verdict
-        stability, heap sequence) are read live each call, and
-        mitigation stability state only when some bank actually needs
-        re-examination (dirty, or an expiry has come due).
+    def make_fused(
+        self,
+        requests: RequestQueue,
+        device: DramDevice,
+        mitigation: MitigationMechanism,
+    ):
+        """The FR-FCFS step, specialized for one fixed (queue, device,
+        mitigation) triple.
+
+        Returns ``fused(now, blocked_ranks) -> (command, request,
+        next_ready)`` with every stable object — the queue's cache and
+        heaps, the flat bank table, the ranks, the mitigation's gate —
+        prebound as closure cells.  Mutable scalars (bus occupancy, rank
+        ACT readiness, verdict stability, heap sequence) are read live
+        each call, and mitigation stability state only when some bank
+        actually needs re-examination (dirty, or an expiry has come due).
 
         One step touches only (a) banks dirtied since the last step,
         (b) banks whose verdict horizon passed, and (c) banks that are
@@ -311,30 +325,32 @@ class FrFcfsPolicy(SchedulingPolicy):
         the class minima cover everything else.  Heap items are lazy: an
         item is dead when its entry is no longer the bank's cached one;
         dead tops pop on sight, so a live top is the exact class minimum.
+
+        A rank in ``blocked_ranks`` is draining for refresh: its hits
+        still serve (the hit heaps are channel-wide), but its row heaps
+        are skipped, and its hitless banks get no decision and stay
+        dirty until the window closes.
         """
-        if not isinstance(requests, RequestQueue) or len(device.ranks) != 1:
-            return None
-        (
-            cache,
-            by_bank,
-            dirty,
-            expiry_heap,
-            hit_heap,
-            act_heap,
-            pre_heap,
-            ready_hits,
-            ready_acts,
-            ready_pres,
-        ) = requests.hot
+        cache = requests.bank_cache
         cache_get = cache.get
         cache_pop = cache.pop
-        by_bank_get = by_bank.get
-        flat_banks, rank0, tCL, tCWL = device.select_hot
+        by_bank_get = requests.by_bank.get
+        dirty = requests.dirty
+        expiry_heap = requests.expiry_heap
+        hit_heap = requests.hit_heap
+        ready_hits = requests.ready_hits
+        rank_heaps = requests.rank_heaps
+        flat_banks, ranks, tCL, tCWL = device.select_hot
+        while len(rank_heaps) < len(ranks):
+            rank_heaps.append(([], [], [], []))
+        # Per rank: its id, its live tRRD/tFAW readiness, its row heaps.
+        rank_rows = [(rank.rank_id, rank, *rank_heaps[rank.rank_id]) for rank in ranks]
         never_blocks = mitigation.never_blocks
         act_allowed_at = mitigation.act_allowed_at
         examine = _examine_bank
         heap_push = heappush
         heap_pop = heappop
+        key_bits = BANK_KEY_BITS
         NEVER = _NEVER
         HIT = _HIT
         IDLE = _IDLE
@@ -344,7 +360,7 @@ class FrFcfsPolicy(SchedulingPolicy):
         WR = CommandKind.WR
         make_command = Command
 
-        def fused(now: float):
+        def fused(now: float, blocked_ranks: frozenset[int]):
             bus_free = device._bus_free
             rd_bus_ready = bus_free - tCL
             wr_bus_ready = bus_free - tCWL
@@ -355,14 +371,14 @@ class FrFcfsPolicy(SchedulingPolicy):
             best_row_seq = -1
             best_row_kind = None
             best_row_row = -1
-            rank_t = -1.0  # lazy: rank ACT readiness at most once per step
 
             # 1. Re-examine dirtied banks, then banks whose verdict
             # horizon has passed (disjoint sets: dirtying a bank always
             # drops its heap-registered entry).  Fresh entries go to the
-            # cache and heaps; uncacheable decisions (horizon already
-            # passed — mechanisms declaring no stability) are kept aside
-            # for inline evaluation and the bank stays dirty.
+            # cache and heaps.  Two kinds of bank stay dirty: hitless
+            # banks on a refresh-draining rank (no decision), and
+            # uncacheable decisions (horizon already passed — mechanisms
+            # declaring no stability), kept aside for inline evaluation.
             uncached = None
             if dirty or (expiry_heap and expiry_heap[0][0] <= now):
                 stable = NEVER if never_blocks else mitigation.act_block_stable
@@ -383,20 +399,24 @@ class FrFcfsPolicy(SchedulingPolicy):
                     if bank_requests is None:
                         cache_pop(key, None)
                         continue
+                    rank_id = key >> key_bits
                     entry = examine(
                         bank_requests, flat_banks[key], now,
-                        act_allowed_at, stable, False,
+                        act_allowed_at, stable, rank_id in blocked_ranks,
                     )
-                    if entry[4] > now:
+                    if entry is None:
+                        cache_pop(key, None)
+                        dirty.add(key)
+                    elif entry[4] > now:
                         cache[key] = entry
                         heap_seq += 1
                         item = (entry[6], heap_seq, key, entry)
                         if entry[0] == HIT:
                             heap_push(hit_heap, item)
                         elif entry[2] is ACT:
-                            heap_push(act_heap, item)
+                            heap_push(rank_heaps[rank_id][0], item)
                         else:
-                            heap_push(pre_heap, item)
+                            heap_push(rank_heaps[rank_id][1], item)
                         if entry[4] < NEVER:
                             heap_push(expiry_heap, (entry[4], heap_seq, key, entry))
                     else:
@@ -404,42 +424,21 @@ class FrFcfsPolicy(SchedulingPolicy):
                         dirty.add(key)
                         if uncached is None:
                             uncached = []
-                        uncached.append(entry)
+                        uncached.append((rank_id, entry))
                 requests.heap_seq = heap_seq
 
             # 2. Inline evaluation of uncacheable bank decisions (their
             # banks stay dirty, so every step re-queries — exactly the
-            # naive behaviour such mechanisms get).
+            # naive behaviour such mechanisms get).  Hit entries never
+            # expire, so these are row decisions on undrained ranks.
             if uncached is not None:
-                for entry in uncached:
-                    tag = entry[0]
-                    if tag == HIT:
-                        req = entry[1]
-                        t = entry[6]
-                        bus = wr_bus_ready if req.is_write else rd_bus_ready
-                        if bus > t:
-                            t = bus
-                        if t <= now:
-                            seq = req.queue_seq
-                            if best_hit is None or seq < best_hit_seq:
-                                best_hit = req
-                                best_hit_seq = seq
-                        elif t < next_ready:
-                            next_ready = t
-                        continue
+                for rank_id, entry in uncached:
                     t = entry[6]
                     if entry[2] is ACT:
-                        if rank_t < 0.0:
-                            rank_t = rank0._act_ready
-                            if rank_t < now:
-                                rank_t = now
+                        rank_t = ranks[rank_id]._act_ready
                         if rank_t > t:
                             t = rank_t
-                    if tag == IDLE:
-                        if t < next_ready:
-                            next_ready = t
-                        continue
-                    if t > now:
+                    if entry[0] == IDLE or t > now:
                         if t < next_ready:
                             next_ready = t
                         continue
@@ -461,7 +460,7 @@ class FrFcfsPolicy(SchedulingPolicy):
             # no per-item scan: with any locally-ready item the shared
             # scalar is the binding constraint, without one it is
             # max(shared, oldest local time).
-            # --- hits (shared scalar: data-bus occupancy) ---
+            # --- hits (shared scalar: the channel's data-bus occupancy) ---
             while hit_heap:
                 item = hit_heap[0]
                 if cache_get(item[2]) is not item[3]:
@@ -497,76 +496,72 @@ class FrFcfsPolicy(SchedulingPolicy):
                 if t < next_ready:
                     next_ready = t
 
-            # --- ACT deciders (shared scalar: rank tRRD/tFAW) ---
-            while act_heap:
-                item = act_heap[0]
-                if cache_get(item[2]) is not item[3]:
+            for rank_id, rank, act_heap, pre_heap, ready_acts, ready_pres in rank_rows:
+                if rank_id in blocked_ranks:
+                    # Refresh-draining: no row commands, no row wakes.
+                    continue
+                # --- ACT deciders (shared scalar: the rank's tRRD/tFAW) ---
+                rank_t = rank._act_ready
+                while act_heap:
+                    item = act_heap[0]
+                    if cache_get(item[2]) is not item[3]:
+                        heap_pop(act_heap)
+                        continue
+                    if item[0] > now:
+                        break
                     heap_pop(act_heap)
-                    continue
-                if item[0] > now:
-                    break
-                heap_pop(act_heap)
-                entry = item[3]
-                # A live _IDLE entry cannot come due (its expiry precedes
-                # its wake), so migrating entries are _ROW deciders.
-                heap_push(ready_acts, (entry[1].queue_seq, item[2], entry))
-            while ready_acts and cache_get(ready_acts[0][1]) is not ready_acts[0][2]:
-                heap_pop(ready_acts)
-            if ready_acts:
-                if rank_t < 0.0:
-                    rank_t = rank0._act_ready
-                    if rank_t < now:
-                        rank_t = now
-                if rank_t > now:
-                    # Rank ACT budget exhausted: it alone gates the class.
-                    if rank_t < next_ready:
-                        next_ready = rank_t
-                else:
-                    seq = ready_acts[0][0]
-                    entry = ready_acts[0][2]
-                    req = entry[1]
-                    if best_row is None or seq < best_row_seq:
-                        best_row = req
-                        best_row_seq = seq
-                        best_row_kind = ACT
-                        best_row_row = entry[3]
-            if act_heap:
-                t = act_heap[0][0]
-                if rank_t < 0.0:
-                    rank_t = rank0._act_ready
-                    if rank_t < now:
-                        rank_t = now
-                if rank_t > t:
-                    t = rank_t
-                if t < next_ready:
-                    next_ready = t
+                    entry = item[3]
+                    # A live _IDLE entry cannot come due (its expiry
+                    # precedes its wake), so migrating entries are _ROW
+                    # deciders.
+                    heap_push(ready_acts, (entry[1].queue_seq, item[2], entry))
+                while ready_acts and cache_get(ready_acts[0][1]) is not ready_acts[0][2]:
+                    heap_pop(ready_acts)
+                if ready_acts:
+                    if rank_t > now:
+                        # Rank ACT budget exhausted: it alone gates the class.
+                        if rank_t < next_ready:
+                            next_ready = rank_t
+                    else:
+                        seq = ready_acts[0][0]
+                        entry = ready_acts[0][2]
+                        if best_row is None or seq < best_row_seq:
+                            best_row = entry[1]
+                            best_row_seq = seq
+                            best_row_kind = ACT
+                            best_row_row = entry[3]
+                if act_heap:
+                    t = act_heap[0][0]
+                    if rank_t > t:
+                        t = rank_t
+                    if t < next_ready:
+                        next_ready = t
 
-            # --- PRE deciders (no shared scalar) ---
-            while pre_heap:
-                item = pre_heap[0]
-                if cache_get(item[2]) is not item[3]:
+                # --- PRE deciders (no shared scalar) ---
+                while pre_heap:
+                    item = pre_heap[0]
+                    if cache_get(item[2]) is not item[3]:
+                        heap_pop(pre_heap)
+                        continue
+                    if item[0] > now:
+                        break
                     heap_pop(pre_heap)
-                    continue
-                if item[0] > now:
-                    break
-                heap_pop(pre_heap)
-                entry = item[3]
-                heap_push(ready_pres, (entry[1].queue_seq, item[2], entry))
-            while ready_pres and cache_get(ready_pres[0][1]) is not ready_pres[0][2]:
-                heap_pop(ready_pres)
-            if ready_pres:
-                seq = ready_pres[0][0]
-                entry = ready_pres[0][2]
-                req = entry[1]
-                if best_row is None or seq < best_row_seq:
-                    best_row = req
-                    best_row_seq = seq
-                    best_row_kind = PRE
-                    best_row_row = entry[3]
-            if pre_heap:
-                t = pre_heap[0][0]
-                if t < next_ready:
-                    next_ready = t
+                    entry = item[3]
+                    heap_push(ready_pres, (entry[1].queue_seq, item[2], entry))
+                while ready_pres and cache_get(ready_pres[0][1]) is not ready_pres[0][2]:
+                    heap_pop(ready_pres)
+                if ready_pres:
+                    seq = ready_pres[0][0]
+                    entry = ready_pres[0][2]
+                    if best_row is None or seq < best_row_seq:
+                        best_row = entry[1]
+                        best_row_seq = seq
+                        best_row_kind = PRE
+                        best_row_row = entry[3]
+                if pre_heap:
+                    t = pre_heap[0][0]
+                    if t < next_ready:
+                        next_ready = t
 
             # Column commands (row-buffer hits) always outrank row commands.
             if best_hit is not None:
@@ -579,146 +574,6 @@ class FrFcfsPolicy(SchedulingPolicy):
             return None, None, next_ready
 
         return fused
-
-    def _scan_select(
-        self,
-        requests: RequestQueue,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> Selection:
-        """Every-bank scan over the same cache (refresh windows and
-        multi-rank devices).  Produces the identical Selection the
-        incremental path would: same entries, same candidate rules,
-        same Selection-contract wakes."""
-        by_bank = requests.by_bank
-        cache = requests.bank_cache
-        cache_get = cache.get
-        spec = device.spec
-        ranks = device.ranks
-        flat_banks = device.flat_banks
-        bus_free = device.bus_free
-        rd_bus_ready = bus_free - spec.tCL
-        wr_bus_ready = bus_free - spec.tCWL
-        stable = _NEVER if mitigation.never_blocks else mitigation.act_block_stable
-        act_allowed_at = mitigation.act_allowed_at
-
-        RD = CommandKind.RD
-        WR = CommandKind.WR
-        ACT = CommandKind.ACT
-        next_ready = _NEVER
-        best_hit: Request | None = None
-        best_hit_seq = -1
-        best_row: Request | None = None
-        best_row_seq = -1
-        best_row_kind = None
-        best_row_row = -1
-        # Rank-level ACT readiness (tRRD/tFAW) is constant within one
-        # scheduling step; compute it at most once per rank.
-        rank_act_ready: dict[int, float] = {}
-
-        any_rank_blocked = bool(blocked_ranks)
-        key_bits = BANK_KEY_BITS
-        for key, bank_requests in by_bank.items():
-            rank_blocked = any_rank_blocked and (key >> key_bits) in blocked_ranks
-            entry = cache_get(key)
-            if entry is None or now >= entry[4]:
-                # Dirty or expired: re-walk the bank.  Refresh-draining
-                # ranks accept no row commands and their requests are
-                # not queried — but an open bank's hits still serve.
-                fresh = _examine_bank(
-                    bank_requests,
-                    flat_banks[key],
-                    now,
-                    act_allowed_at,
-                    stable,
-                    rank_blocked,
-                )
-                if fresh is None:
-                    # Undecidable while the rank drains; whatever entry
-                    # existed is stale now.
-                    if entry is not None:
-                        del cache[key]
-                        requests.dirty.add(key)
-                    continue
-                entry = fresh
-                tag = entry[0]
-                # Store for this scan's reuse but leave the bank dirty
-                # and push NO heap items: the incremental path re-tracks
-                # dirty banks (one re-examination + push) when it
-                # resumes, and a permanently-scanning configuration
-                # (multi-rank) must not grow the heaps it never drains.
-                requests.dirty.add(key)
-                if entry[4] > now:
-                    cache[key] = entry
-                else:
-                    cache.pop(key, None)
-            else:
-                tag = entry[0]
-                if tag != _HIT and rank_blocked:
-                    continue
-            if tag == _HIT:
-                req = entry[1]
-                t = entry[6]
-                bus = wr_bus_ready if req.is_write else rd_bus_ready
-                if bus > t:
-                    t = bus
-                if t <= now:
-                    # Oldest ready hit across all banks wins (FR-FCFS
-                    # arrival-order tie-break).
-                    seq = req.queue_seq
-                    if best_hit is None or seq < best_hit_seq:
-                        best_hit = req
-                        best_hit_seq = seq
-                elif t < next_ready:
-                    next_ready = t
-                continue
-            # _ROW/_IDLE: bank-local gate snapshotted at examination
-            # time; ACT gates fold in the live rank constraint (the
-            # Selection contract's wakes depend on it even when bank
-            # timing is the later of the two).
-            t = entry[6]
-            kind = entry[2]
-            if kind is ACT:
-                rank_id = key >> key_bits
-                rank_t = rank_act_ready.get(rank_id)
-                if rank_t is None:
-                    rank_t = ranks[rank_id].earliest_act(now)
-                    rank_act_ready[rank_id] = rank_t
-                if rank_t > t:
-                    t = rank_t
-            if tag == _IDLE:
-                # All blocked: wake when the first request unblocks AND
-                # its row command could issue (Selection contract).
-                if t < next_ready:
-                    next_ready = t
-                continue
-            if t > now:
-                if t < next_ready:
-                    next_ready = t
-                continue
-            req = entry[1]
-            seq = req.queue_seq
-            if best_row is None or seq < best_row_seq:
-                best_row = req
-                best_row_seq = seq
-                best_row_kind = kind
-                best_row_row = entry[3]
-
-        # Column commands (row-buffer hits) always outrank row commands.
-        if best_hit is not None:
-            req = best_hit
-            kind = WR if req.is_write else RD
-            return Selection(
-                Command(kind, req.rank, req.bank, req.row, req.col), req, now
-            )
-        if best_row is not None:
-            req = best_row
-            return Selection(
-                Command(best_row_kind, req.rank, req.bank, best_row_row), req, now
-            )
-        return Selection(None, None, next_ready)
 
 
 def _naive_select(
@@ -756,7 +611,7 @@ def _naive_select(
     best_row_row = -1
     position = {id(req): pos for pos, req in enumerate(items)}
     next_ready = _NEVER
-    for key, bank_requests in by_bank.items():
+    for bank_requests in by_bank.values():
         first = bank_requests[0]
         bank = device.bank(first.rank, first.bank)
         open_row = bank.open_row

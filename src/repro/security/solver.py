@@ -57,11 +57,6 @@ class SecurityProof:
             bound = max(bound, float(self.enumeration_max_activations))
         return bound <= self.nrh_star
 
-    @property
-    def safety_margin(self) -> float:
-        """NRH* minus the best achievable activation count."""
-        return self.nrh_star - max(self.lp_max_activations, self.fast_delayed_max)
-
 
 def fast_delayed_bound(config: BlockHammerConfig) -> float:
     """Upper-bound activations of one row in any tREFW-long window.

@@ -164,8 +164,8 @@ def run_policy(
     ranks: int = 1,
 ) -> DifferentialRun:
     """Simulate (scenario, seed, channels) under ``policy`` on a
-    ``ranks``-rank device (more than one rank routes the fast policy
-    through its every-bank ``_scan_select`` permanently)."""
+    ``ranks``-rank device (more than one rank gives the fast policy one
+    set of ACT/PRE heaps per rank)."""
     hcfg = HarnessConfig(
         base_spec=replace(DDR4_2400, ranks=ranks),
         scale=scale,

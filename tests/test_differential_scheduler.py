@@ -1,7 +1,7 @@
 """Differential scheduler tests: fast FR-FCFS ≡ naive reference.
 
 Sweeps seeds × scenarios × {1, 2, 4} channels (plus 2 ranks × 1
-channel, the multi-rank every-bank scan path) through the
+channel, the per-rank ACT/PRE heap layout) through the
 incremental :class:`FrFcfsPolicy` and the naive
 :class:`ReferenceFrFcfsPolicy` and asserts full command-trace equality
 — every DRAM command's (time, kind, rank, bank, row, col) on every
@@ -50,10 +50,10 @@ def test_fast_policy_matches_reference(scenario, seed, channels):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_fast_policy_matches_reference_two_ranks(scenario, seed):
-    """Two ranks on one channel: the fast policy runs its every-bank
-    ``_scan_select`` on every step (the single-rank closure does not
-    apply), so this is that path's comparison with the reference.  The
-    governed scenario's footprint reaches both ranks."""
+    """Two ranks on one channel: the fast policy keeps one set of
+    ACT/PRE heaps per rank (each gated by its own tRRD/tFAW and refresh
+    window), so this is that layout's comparison with the reference.
+    The governed scenario's footprint reaches both ranks."""
     fast, ref = run_pair(scenario, seed, 1, ranks=2)
     if scenario == "governed":
         assert {command[2] for command in fast.commands[0]} == {0, 1}

@@ -20,9 +20,11 @@ full scheduling equivalence, timing included, is pinned by
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.dram.address import bank_key
+from repro.dram.address import DecodedAddress, bank_key
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramDevice
 from repro.mem.controller import MemoryController
@@ -35,11 +37,9 @@ from repro.utils.rng import DeterministicRng
 NO_BLOCK = frozenset()
 
 
-def make_request(bank=0, row=0, write=False, thread=0):
+def make_request(bank=0, row=0, write=False, thread=0, rank=0):
     kind = RequestKind.WRITE if write else RequestKind.READ
-    from repro.dram.address import DecodedAddress
-
-    return Request(thread, kind, DecodedAddress(0, bank, row, 0), arrival=0.0)
+    return Request(thread, kind, DecodedAddress(rank, bank, row, 0), arrival=0.0)
 
 
 class EpochBlocker(MitigationMechanism):
@@ -219,14 +219,21 @@ def _oracle(bank_requests, open_row, mech, now):
     return (_IDLE, None)
 
 
-def test_random_workout_never_leaves_a_stale_live_entry(small_spec, device):
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_random_workout_never_leaves_a_stale_live_entry(small_spec, ranks):
     """Drive a real controller (random enqueues, real command issue,
-    epoch rotations) and after every step re-check every *live* cached
-    entry against the oracle.  Entries past their expiry instant are
-    exempt: the policy re-walks them before trusting them."""
+    epoch rotations, refresh windows) and after every step re-check
+    every *live* cached entry against the oracle.  Entries past their
+    expiry instant are exempt: the policy re-walks them before trusting
+    them.  Each step also checks that no ACT went to a rank draining
+    for refresh: its row heaps must be skipped, not drained."""
+    # A short refresh interval puts REF windows inside the workout.
+    spec = replace(small_spec, ranks=ranks, tREFI=600.0)
+    device = DramDevice(spec)
+    device.command_log = []
     mech = EpochBlocker(epoch_ns=40.0, block_fraction=0.4)
     mech.advance_to(0.0)
-    controller = MemoryController(small_spec, device, mitigation=mech)
+    controller = MemoryController(spec, device, mitigation=mech)
     rng = DeterministicRng(99).fork("workout")
     now = 0.0
     checked = 0
@@ -234,12 +241,17 @@ def test_random_workout_never_leaves_a_stale_live_entry(small_spec, device):
         now += rng.uniform() * 6.0
         if rng.uniform() < 0.7:
             request = make_request(
-                bank=rng.randint(0, small_spec.banks_per_rank - 1),
+                bank=rng.randint(0, spec.banks_per_rank - 1),
                 row=rng.randint(0, 7),
                 write=rng.uniform() < 0.3,
+                rank=rng.randint(0, ranks - 1) if ranks > 1 else 0,
             )
             controller.enqueue(request, now)
+        draining = {r for r in range(ranks) if controller.refresh.pending(r, now)}
+        logged = len(device.command_log)
         controller.step(now)
+        for _, kind, rank, *_ in device.command_log[logged:]:
+            assert not (kind == "ACT" and rank in draining), (now, rank)
         for queue in (controller.read_queue, controller.write_queue):
             for key, entry in queue.bank_cache.items():
                 if now >= entry[4]:
@@ -256,41 +268,4 @@ def test_random_workout_never_leaves_a_stale_live_entry(small_spec, device):
                     )
                     assert entry[2] is expected
     assert checked > 200  # the workout genuinely exercised live entries
-
-
-def test_multi_rank_scan_mode_does_not_grow_heaps(small_spec):
-    """Multi-rank devices route to the every-bank scan permanently; the
-    scan must not push wake/expiry heap items it will never drain."""
-    from dataclasses import replace
-
-    spec2 = replace(small_spec, ranks=2)
-    device2 = DramDevice(spec2)
-    mech = EpochBlocker(epoch_ns=40.0, block_fraction=0.3)
-    mech.advance_to(0.0)
-    controller = MemoryController(spec2, device2, mitigation=mech)
-    rng = DeterministicRng(7).fork("multirank")
-    now = 0.0
-    for _ in range(300):
-        now += rng.uniform() * 5.0
-        if rng.uniform() < 0.7:
-            from repro.dram.address import DecodedAddress
-
-            request = Request(
-                0,
-                RequestKind.READ,
-                DecodedAddress(
-                    rng.randint(0, 1),
-                    rng.randint(0, spec2.banks_per_rank - 1),
-                    rng.randint(0, 7),
-                    0,
-                ),
-                arrival=now,
-            )
-            controller.enqueue(request, now)
-        controller.step(now)
-    for queue in (controller.read_queue, controller.write_queue):
-        assert all(len(heap) == 0 for heap in queue.wake_heaps)
-        assert len(queue.expiry_heap) == 0
-        # Scan-touched banks stay dirty (bounded by the bank count) so
-        # a single-rank resume would re-track them.
-        assert len(queue.dirty) <= spec2.ranks * spec2.banks_per_rank
+    assert device.counts.ref > 0  # ... and refresh-draining steps
