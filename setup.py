@@ -1,8 +1,9 @@
 """Setup shim for environments without the ``wheel`` package.
 
-The project metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` can use the legacy (setup.py develop) editable path
-in offline environments where PEP 660 wheel building is unavailable.
+The project metadata lives in pyproject.toml.  Building it through
+pip (``pip install -e .``) needs ``wheel`` or setuptools >= 70; where
+neither is available offline, ``python setup.py develop`` installs the
+same editable package through this file.
 """
 
 from setuptools import setup

@@ -164,7 +164,7 @@ class AddressMapping:
         return line * s.line_bytes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def shared_mapping(
     spec: DramSpec,
     scheme: MappingScheme = MappingScheme.MOP,
@@ -175,6 +175,7 @@ def shared_mapping(
     Mappings are stateless apart from the decode memo; sharing one
     instance per (spec, scheme, mop_run) lets every simulation of a
     sweep reuse the memo instead of re-decoding the working set from
-    scratch per run.
+    scratch per run.  The memo is bounded to a few configurations,
+    since each mapping carries up to _DECODE_CACHE_LIMIT decodes.
     """
     return AddressMapping(spec, scheme, mop_run)

@@ -36,7 +36,7 @@ from repro.workloads.profiles import WorkloadProfile, profile_by_name
 ATTACKER_CORE_PARAMS = CoreParams(max_outstanding=48)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _scaled_spec(base_spec: DramSpec, scale: float) -> DramSpec:
     """Scaled spec, memoized: ``HarnessConfig.spec()`` is called per
     trace build and per alone-IPC computation, and rebuilding the spec
@@ -50,7 +50,7 @@ def _mop_mapping(spec: DramSpec) -> AddressMapping:
     return shared_mapping(spec, MappingScheme.MOP)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _channel_spec(spec: DramSpec, channels: int) -> DramSpec:
     """``spec`` re-declared with ``channels`` channels, memoized so the
     mapping/trace caches keyed by spec identity keep hitting."""

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import BlockHammerConfig
 from repro.security.epochs import EpochModel, EpochType
 
@@ -54,24 +52,22 @@ class AttackConstraints:
             target=config.nrh_star,
         )
 
-    def objective(self) -> np.ndarray:
+    def objective(self) -> tuple[float, ...]:
         """Coefficients of the activation-count objective."""
-        return np.array(self.nepmax, dtype=float)
+        return tuple(float(m) for m in self.nepmax)
 
-    def inequality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+    def inequality_matrix(
+        self,
+    ) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
         """(A_ub, b_ub) for ``A_ub @ n <= b_ub``."""
         # n indices: [n0, n1, n2, n3, n4]
-        a_ub = np.array(
-            [
-                [1, 1, 1, 1, 1],  # total epochs fit in the window
-                [0, 0, 1, -1, 0],  # n2 <= n3 + slack
-                [0, 0, -1, 1, 0],  # n3 <= n2 + slack
-            ],
-            dtype=float,
+        a_ub = (
+            (1.0, 1.0, 1.0, 1.0, 1.0),  # total epochs fit in the window
+            (0.0, 0.0, 1.0, -1.0, 0.0),  # n2 <= n3 + slack
+            (0.0, 0.0, -1.0, 1.0, 0.0),  # n3 <= n2 + slack
         )
-        b_ub = np.array(
-            [self.max_epochs, self.ordering_slack, self.ordering_slack], dtype=float
-        )
+        slack = float(self.ordering_slack)
+        b_ub = (float(self.max_epochs), slack, slack)
         return a_ub, b_ub
 
     def satisfied_by(self, counts: tuple[int, int, int, int, int]) -> bool:

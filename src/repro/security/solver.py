@@ -17,9 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linprog
-
 from repro.core.config import BlockHammerConfig
 from repro.security.constraints import AttackConstraints
 
@@ -78,7 +75,11 @@ def fast_delayed_bound(config: BlockHammerConfig) -> float:
 
 
 def _solve_lp(constraints: AttackConstraints) -> float:
-    c = -constraints.objective()  # linprog minimizes
+    # scipy (and the numpy it loads) is needed only here, so importing
+    # it lazily keeps it out of every simulation process.
+    from scipy.optimize import linprog
+
+    c = [-coeff for coeff in constraints.objective()]  # linprog minimizes
     a_ub, b_ub = constraints.inequality_matrix()
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 5, method="highs")
     if not result.success:  # pragma: no cover - defensive

@@ -140,8 +140,13 @@ class ReplayTrace(Trace):
 
 
 #: Process-wide stream cache; keys are full trace identities, so two
-#: traces share records only when every generation input matches.
+#: traces share records only when every generation input matches.  It
+#: is reset wholesale at _STREAM_CACHE_LIMIT keys — far beyond any one
+#: sweep's trace set, but a hard cap on a long-lived worker's memory.
+#: A live ReplayTrace holds its own stream, so a reset only costs
+#: regenerating records; it never changes a result.
 _STREAM_CACHE: dict[tuple, _RecordStream] = {}
+_STREAM_CACHE_LIMIT = 256
 
 
 def build_benign_trace(
@@ -155,6 +160,8 @@ def build_benign_trace(
     key = (profile, spec, mapping.spec, mapping.scheme, mapping.mop_run, seed, row_offset)
     stream = _STREAM_CACHE.get(key)
     if stream is None:
+        if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
+            _STREAM_CACHE.clear()
         rng = DeterministicRng(seed).fork(f"trace-{profile.name}-{row_offset}")
         stream = _RecordStream(
             ProfileTrace(profile, spec, mapping, rng, row_offset=row_offset)

@@ -21,9 +21,22 @@ def test_bloom_clear_resets():
     bf = BloomFilter(256, rng=DeterministicRng(1))
     bf.insert(42)
     bf.clear()
-    assert not bf.test(42) or True  # reseeded: may alias, but bits are 0
+    # Every bit is zero after a clear, so no key (however the reseeded
+    # hashes map it) can test positive.
+    assert not bf.test(42)
     assert bf.fill_ratio() == 0.0
     assert bf.insertions == 0
+
+
+def test_bloom_fill_ratio_counts_distinct_set_bits():
+    bf = BloomFilter(256, rng=DeterministicRng(1))
+    keys = range(0, 4000, 97)
+    set_bits = set()
+    for key in keys:
+        bf.insert(key)
+        set_bits.update(bf.hashes.indices(key))
+    assert bf.fill_ratio() == len(set_bits) / bf.size
+    assert 0.0 < bf.fill_ratio() < 1.0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=60))

@@ -12,6 +12,7 @@ from repro.workloads.attacks import (
     single_sided_attack,
 )
 from repro.workloads.attacks import DEFAULT_VICTIM_ROW
+from repro.workloads import generator
 from repro.workloads.generator import ProfileTrace, build_benign_trace
 from repro.workloads.mixes import (
     ATTACKER_THREAD,
@@ -109,6 +110,32 @@ def test_generator_addresses_decode_into_working_set(small_spec):
         decoded = mapping.decode(trace.next_record().address)
         assert decoded.row < profile.working_set_rows
         assert decoded.bank < min(profile.banks_used, small_spec.banks_per_rank)
+
+
+def test_stream_cache_is_bounded_and_replays_after_reset(small_spec):
+    """Many distinct trace keys in one process (a long-lived pool
+    worker) never grow the stream cache past its limit, and a trace
+    rebuilt after the reset regenerates the same records."""
+    mapping = AddressMapping(small_spec, MappingScheme.MOP)
+    profile = profile_by_name("429.mcf")
+
+    def records(trace, n):
+        return [
+            (r.gap, r.address, r.is_write)
+            for r in (trace.next_record() for _ in range(n))
+        ]
+
+    first = build_benign_trace(profile, small_spec, mapping, seed=5)
+    head = records(first, 50)
+    limit = generator._STREAM_CACHE_LIMIT
+    for seed in range(1000, 1000 + limit + 1):
+        build_benign_trace(profile, small_spec, mapping, seed=seed)
+        assert len(generator._STREAM_CACHE) <= limit
+    rebuilt = build_benign_trace(profile, small_spec, mapping, seed=5)
+    assert rebuilt._stream is not first._stream  # regenerated, not cached
+    assert records(rebuilt, 50) == head
+    # The live trace keeps its own stream across the reset.
+    assert records(first, 50) == records(rebuilt, 50)
 
 
 def test_streaming_profile_walks_rows(small_spec):
