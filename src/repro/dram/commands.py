@@ -10,7 +10,7 @@ row, and we model it with the same tRC occupancy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CommandKind(enum.Enum):
@@ -27,13 +27,16 @@ class CommandKind(enum.Enum):
         return f"CommandKind.{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Command:
+class Command(NamedTuple):
     """A single DRAM command addressed to a (rank, bank, row, col).
 
     ``row`` is a *logical* (memory-controller-visible) row address; the
     device translates it through its in-DRAM row mapping before applying
     disturbance (Section 2.3).  ``col`` is only meaningful for RD/WR.
+
+    Immutable and hashable.  A named tuple rather than a frozen
+    dataclass: one is built per issued command, and a tuple costs less
+    than half as much to construct.
     """
 
     kind: CommandKind

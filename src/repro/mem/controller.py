@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.utils.aggregate import merge_fields
 
-from repro.dram.address import bank_key
+from repro.dram.address import BANK_KEY_BITS, bank_key
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramDevice
 from repro.dram.spec import DramSpec
@@ -35,11 +35,6 @@ from repro.utils.validation import require
 
 _NEVER = 1.0e30
 _NO_RANKS: frozenset[int] = frozenset()
-
-
-def _peek_nothing() -> None:
-    """``peek()`` stand-in for single-step entry points (no events)."""
-    return None
 
 
 @dataclass(frozen=True)
@@ -147,11 +142,11 @@ class MemoryController:
         # but never late.  Starts at -inf: the first step advances
         # unconditionally.
         self._mitig_horizon = -_NEVER
-        # Pending victim refreshes, FIFO per bank: one queue per bank
-        # keeps each scheduling step O(banks) while letting every idle
-        # bank service refreshes in parallel (mechanisms like CBT can
-        # queue hundreds at once).
-        self._vrefs: dict[tuple[int, int], deque[int]] = {}
+        # Pending victim refreshes, FIFO per bank and keyed by the
+        # packed ``bank_key``: one queue per bank keeps each scheduling
+        # step O(banks) while letting every idle bank service refreshes
+        # in parallel (mechanisms like CBT can queue hundreds at once).
+        self._vrefs: dict[int, deque[int]] = {}
         self._pending_vref_count = 0
         # Per <thread, bank> in-flight counters keyed by the packed int
         # ``(thread << 16) | Request.bank_key`` — admission and
@@ -309,15 +304,21 @@ class MemoryController:
         event loop uses the batched form, this single-step entry point
         serves tests and tick-by-tick oracles.
         """
-        _, wake = self.run_until(now, _peek_nothing, now)
+        _, wake = self.run_until(now, (), now)
         return wake
 
-    def run_until(self, now: float, peek, hard_limit: float) -> tuple[int, float]:
+    def run_until(self, now: float, pending, hard_limit: float) -> tuple[int, float]:
         """Run scheduling steps starting at ``now``, leaping local time
         from each step directly to the next, until the next step would
-        land at or past the next pending global event (``peek()``) or
-        beyond ``hard_limit`` (the warmup/deadline boundary, across
-        which the event loop must regain control).
+        land at or past the next pending global event or beyond
+        ``hard_limit`` (the warmup/deadline boundary, across which the
+        event loop must regain control).
+
+        ``pending`` is the event loop's live heap of ``(time, seq,
+        callback)`` entries (:attr:`EventQueue.heap`), read but never
+        modified here: its top is the next global event, including any
+        event this batch pushes (request completions).  Single-step
+        callers pass an empty sequence.
 
         Returns ``(steps, wake)``: how many scheduling steps executed
         and the controller's next wake time (``_NEVER`` when idle).
@@ -358,7 +359,7 @@ class MemoryController:
             # horizon crossings.
             if pv:
                 for rank_id, bank_id, row in pv:
-                    key = (rank_id, bank_id)
+                    key = (rank_id << BANK_KEY_BITS) | bank_id
                     queue = vrefs.get(key)
                     if queue is None:
                         vrefs[key] = deque((row,))
@@ -440,8 +441,7 @@ class MemoryController:
                 # single-step path did.
                 wake = t
                 break
-            limit = peek()
-            if limit is not None and wake >= limit:
+            if pending and wake >= pending[0][0]:
                 break
             t = wake
         self._write_draining = draining
@@ -496,41 +496,61 @@ class MemoryController:
     # Victim-refresh handling.
     # ------------------------------------------------------------------
     def _vref_step(self, now: float, blocked_ranks: frozenset[int]) -> tuple[bool, float]:
-        """Service the victim-refresh queues (FIFO per bank)."""
+        """Service the victim-refresh queues (FIFO per bank).
+
+        A bank with an open row needs a PRE first (gated by the bank's
+        next PRE); a precharged bank takes the VREF, gated like an ACT
+        by the bank's next ACT and the rank's tRRD/tFAW readiness.  The
+        scan reads those gates straight off the bank and rank, as
+        ``DramDevice.earliest_issue`` combines them, and builds a
+        :class:`Command` only for the one command it issues.
+        """
+        flat_banks = self.device.flat_banks
+        ranks = self.device.ranks
         best_t = _NEVER
-        for (rank_id, bank_id), queue in self._vrefs.items():
-            if not queue or rank_id in blocked_ranks:
+        for key, queue in self._vrefs.items():
+            rank_id = key >> BANK_KEY_BITS
+            if rank_id in blocked_ranks:
                 continue
-            bank = self.device.bank(rank_id, bank_id)
-            if bank.open_row is not None:
-                cmd = Command(CommandKind.PRE, rank_id, bank_id, bank.open_row)
+            bank = flat_banks[key]
+            open_row = bank.open_row
+            if open_row is not None:
+                t = bank.next_pre
+            else:
+                t = bank.next_act
+                rank_t = ranks[rank_id]._act_ready
+                if rank_t > t:
+                    t = rank_t
+            if t > now:
+                if t < best_t:
+                    best_t = t
+                continue
+            bank_id = bank.bank_id
+            if open_row is not None:
+                cmd = Command(CommandKind.PRE, rank_id, bank_id, open_row)
             else:
                 cmd = Command(CommandKind.VREF, rank_id, bank_id, queue[0])
-            t = self.device.earliest_issue(cmd, now)
-            if t <= now:
-                self.device.issue(cmd, now)
-                self.commands_issued += 1
-                self._invalidate_bank(rank_id, bank_id)
-                if cmd.kind is CommandKind.VREF:
-                    queue.popleft()
-                    if not queue:
-                        # Prune drained banks so later steps do not
-                        # rescan them (safe: we return immediately).
-                        del self._vrefs[(rank_id, bank_id)]
-                    self._pending_vref_count -= 1
-                    self.vref_count += 1
-                    if self.probe is not None:
-                        self.probe(
-                            now,
-                            "vref",
-                            self.channel_id,
-                            rank=rank_id,
-                            bank=bank_id,
-                            row=cmd.row,
-                        )
-                return True, now
-            if t < best_t:
-                best_t = t
+            self.device.issue(cmd, now)
+            self.commands_issued += 1
+            self._invalidate_bank(rank_id, bank_id)
+            if open_row is None:
+                queue.popleft()
+                if not queue:
+                    # Prune drained banks so later steps do not rescan
+                    # them (safe: we return immediately).
+                    del self._vrefs[key]
+                self._pending_vref_count -= 1
+                self.vref_count += 1
+                if self.probe is not None:
+                    self.probe(
+                        now,
+                        "vref",
+                        self.channel_id,
+                        rank=rank_id,
+                        bank=bank_id,
+                        row=cmd.row,
+                    )
+            return True, now
         return False, best_t
 
     # ------------------------------------------------------------------

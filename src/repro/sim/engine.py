@@ -31,6 +31,16 @@ class EventQueue:
         time, _, callback = heapq.heappop(self._heap)
         return time, callback
 
+    @property
+    def heap(self) -> list[tuple[float, int, Callable[[float], None]]]:
+        """The live event heap of ``(time, seq, callback)`` entries.
+
+        The same list for the queue's whole life, so a caller may bind
+        it once and read its top (``heap[0][0]``, guarded by
+        truthiness) without a method call.  Read-only: only this class
+        pushes and pops."""
+        return self._heap
+
     def peek_time(self) -> float | None:
         """Earliest scheduled time, or None when empty."""
         return self._heap[0][0] if self._heap else None

@@ -137,10 +137,11 @@ class System:
         ]
         self._now = 0.0
         self.events_processed = 0
-        # Controller batching plumbing: a bound peek so each batch
-        # iteration can check the next pending global event, and the
-        # warmup/deadline boundary batches must never leap across.
-        self._peek = self._events.peek_time
+        # Controller batching plumbing: the live event heap, whose top
+        # each batch iteration checks for the next pending global
+        # event, and the warmup/deadline boundary batches must never
+        # leap across.
+        self._pending = self._events.heap
         self._hard_limit = _NEVER
         # Completion tracking: cores with an instruction target are
         # "required"; a counter updated when a core stamps finish_time
@@ -237,7 +238,7 @@ class System:
             # reports its next wake.  Each executed step counts as one
             # processed event, like the per-step wakes it replaces.
             steps, wake = self.controllers[channel].run_until(
-                now, self._peek, self._hard_limit
+                now, self._pending, self._hard_limit
             )
             if steps > 1:
                 self.events_processed += steps - 1

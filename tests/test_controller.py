@@ -1,8 +1,12 @@
 """Unit tests for the memory controller."""
 
+from collections import deque
+from dataclasses import replace
+
 import pytest
 
-from repro.dram.address import DecodedAddress
+from repro.dram.address import DecodedAddress, bank_key
+from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramDevice
 from repro.mem.controller import ControllerConfig, MemoryController
 from repro.mem.request import Request, RequestKind, ServiceClass
@@ -183,3 +187,91 @@ def test_thread_stats_avg_latency(small_spec):
     assert stats.read_latency_count == 1
     assert stats.avg_read_latency > small_spec.tCL
     assert stats.row_hit_rate == 0.0
+
+
+def _vref_scan_fixture(small_spec):
+    """A three-rank controller with one pending victim refresh on each of
+    four banks, each bound by a different gate:
+
+    * rank 2, bank 0: untouched (ready at once), on the rank the scan is
+      told is refresh-draining; queued first, so a scan that ignored the
+      block would always pick it;
+    * rank 0, bank 0: row open, bound by its PRE gate (ACT + tRAS);
+    * rank 0, bank 1: precharged within tRC, bound by its bank ACT gate;
+    * rank 1, bank 0: untouched, bound by rank 1's tFAW window, which
+      four ACT-class commands to rank 1's bank 3 opened.
+
+    Commands are committed straight to the device to build the state;
+    legality of that set-up is not the point.
+    """
+    spec = replace(small_spec, ranks=3)
+    controller = make_controller(spec)
+    device = controller.device
+    device.command_log = []
+    device.issue(Command(CommandKind.ACT, 0, 1, 7), 0.0)
+    device.issue(Command(CommandKind.ACT, 0, 0, 5), spec.tRRD)
+    device.issue(Command(CommandKind.PRE, 0, 1, 7), spec.tRAS)
+    for i in range(4):
+        device.issue(Command(CommandKind.VREF, 1, 3, 9), i * spec.tRRD)
+    device.command_log.clear()
+    for rank, bank in ((2, 0), (0, 0), (0, 1), (1, 0)):
+        controller._vrefs[bank_key(rank, bank)] = deque((100 + rank * 10 + bank,))
+        controller._pending_vref_count += 1
+    return controller
+
+
+def test_vref_scan_gates_match_device_earliest_issue(small_spec):
+    """``_vref_step`` reads the PRE, bank and rank gates directly; its
+    ``(issued, wake)`` must equal what ``DramDevice.earliest_issue``
+    derives for the same commands, and the command it issues must be the
+    first ready one in queue order."""
+    blocked = frozenset({2})
+    device = _vref_scan_fixture(small_spec).device
+    open_bank = device.bank(0, 0)
+    tRC_bank = device.bank(0, 1)
+    rank0, rank1 = device.ranks[0], device.ranks[1]
+    pre_gate = open_bank.next_pre
+    bank_gate = tRC_bank.next_act
+    rank_gate = rank1._act_ready
+    # Each bank is bound by the gate it was built for.
+    assert open_bank.open_row is not None
+    assert tRC_bank.open_row is None and bank_gate > rank0._act_ready
+    assert device.bank(1, 0).next_act < rank_gate
+    assert len({pre_gate, bank_gate, rank_gate}) == 3
+
+    def expected_commands(controller):
+        cmds = []
+        for rank, bank in ((0, 0), (0, 1), (1, 0)):
+            b = controller.device.bank(rank, bank)
+            queue = controller._vrefs[bank_key(rank, bank)]
+            if b.open_row is not None:
+                cmds.append(Command(CommandKind.PRE, rank, bank, b.open_row))
+            else:
+                cmds.append(Command(CommandKind.VREF, rank, bank, queue[0]))
+        return cmds
+
+    gates = sorted((pre_gate, bank_gate, rank_gate))
+    nows = [0.0] + [g + d for g in gates for d in (-0.5, 0.0, 0.5)]
+    issued_kinds = set()
+    for now in nows:
+        controller = _vref_scan_fixture(small_spec)
+        cmds = expected_commands(controller)
+        times = [controller.device.earliest_issue(cmd, now) for cmd in cmds]
+        ready = [cmd for cmd, t in zip(cmds, times) if t <= now]
+        expected = (True, now) if ready else (False, min(times))
+        assert controller._vref_step(now, blocked) == expected, now
+        log = controller.device.command_log
+        if ready:
+            first = ready[0]
+            assert log == [
+                (now, first.kind.name, first.rank, first.bank, first.row, first.col)
+            ]
+            issued_kinds.add(first.kind)
+        else:
+            assert log == []
+    assert issued_kinds == {CommandKind.PRE, CommandKind.VREF}
+
+    # Unblocked, the untouched rank-2 bank (queued first) issues at once.
+    controller = _vref_scan_fixture(small_spec)
+    assert controller._vref_step(0.0, frozenset()) == (True, 0.0)
+    assert controller.device.command_log == [(0.0, "VREF", 2, 0, 120, 0)]

@@ -34,6 +34,36 @@ def make_core(records, controller=None, params=None, spec=None, llc=None):
     return core, controller
 
 
+class RefusingController(FakeController):
+    """Refuses the first ``refusals`` enqueues, then accepts."""
+
+    def __init__(self, refusals):
+        super().__init__()
+        self.refusals = refusals
+
+    def enqueue(self, request, now):
+        if self.refusals:
+            self.refusals -= 1
+            return False
+        return super().enqueue(request, now)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: without an LLC, a write refused twice is stashed "
+    "as both _pending and _pending_writeback and enqueued twice",
+)
+def test_write_refused_twice_is_accepted_once():
+    params = CoreParams(retry_delay_ns=10.0, retry_backoff_max_ns=80.0)
+    records = [TraceRecord(gap=0, address=0, is_write=True)]
+    core, controller = make_core(records, RefusingController(2), params)
+    core.instructions_target = 1
+    assert core.wake(0.0) == pytest.approx(10.0)
+    assert core.wake(10.0) == pytest.approx(30.0)
+    core.wake(30.0)
+    assert len(controller.requests) == 1
+
+
 def test_compute_gap_paces_injection():
     params = CoreParams(freq_ghz=1.0, issue_width=1)  # 1 ns per instruction
     records = [TraceRecord(gap=100, address=0)]

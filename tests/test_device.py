@@ -18,6 +18,21 @@ def _open_row(device, rank, bank, row, now=0.0):
     device.issue(Command(CommandKind.ACT, rank, bank, row), now)
 
 
+def test_command_is_an_immutable_hashable_value():
+    act = Command(CommandKind.ACT, 0, 1, 2)
+    assert act == Command(CommandKind.ACT, 0, 1, 2, 0)
+    assert act != Command(CommandKind.ACT, 0, 1, 3)
+    assert hash(act) == hash(Command(CommandKind.ACT, 0, 1, 2))
+    assert len({act, Command(CommandKind.ACT, 0, 1, 2)}) == 1
+    ref = Command(CommandKind.REF, 1, 0)
+    assert (ref.kind, ref.rank, ref.bank) == (CommandKind.REF, 1, 0)
+    assert (ref.row, ref.col) == (0, 0)
+    with pytest.raises(AttributeError):
+        act.row = 7
+    with pytest.raises(AttributeError):
+        act.kind = CommandKind.PRE
+
+
 def test_act_then_read(device, small_spec):
     _open_row(device, 0, 0, 5)
     cmd = Command(CommandKind.RD, 0, 0, 5, 0)
