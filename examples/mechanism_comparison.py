@@ -4,40 +4,35 @@
 Reproduces a single-mix slice of Figure 5's "RowHammer attack present"
 scenario: for each mechanism, benign weighted speedup (normalized to the
 unprotected baseline), DRAM energy, victim refreshes issued, and whether
-any bit flipped.
+any bit flipped.  It runs the same declare/execute/assemble path as the
+``fig5`` sweep.
 
-Run:  python examples/mechanism_comparison.py
+Run:  PYTHONPATH=src python examples/mechanism_comparison.py
 """
 
-from repro import HarnessConfig, Runner, attack_mixes, compute_metrics, format_table
+from repro import HarnessConfig, attack_mixes, format_table
+from repro.harness.experiments import assemble_mix_rows, mix_sweep_jobs
+from repro.harness.parallel import run_jobs
 from repro.mitigations.registry import PAPER_MECHANISMS
 
 
 def main() -> None:
     hcfg = HarnessConfig(scale=128, paper_nrh=32768, instructions_per_thread=80_000)
-    runner = Runner(hcfg)
     mix = attack_mixes(1)[0]
     print(f"workload: attacker + {', '.join(mix.app_names[1:])}\n")
 
-    baseline = runner.run_mix(mix, "none")
-    shared, alone = runner.benign_ipc_maps(mix, baseline)
-    base_metrics = compute_metrics(shared, alone)
-    base_energy = baseline.energy.total_j
-
-    rows = [["none (baseline)", 1.0, 1.0, 0, baseline.bitflips]]
-    for name in PAPER_MECHANISMS:
-        outcome = runner.run_mix(mix, name)
-        shared, alone = runner.benign_ipc_maps(mix, outcome)
-        metrics = compute_metrics(shared, alone)
-        rows.append(
-            [
-                name,
-                round(metrics.weighted_speedup / base_metrics.weighted_speedup, 3),
-                round(outcome.energy.total_j / base_energy, 3),
-                outcome.result.victim_refreshes,
-                outcome.bitflips,
-            ]
-        )
+    mechanisms = ["none", *PAPER_MECHANISMS]
+    results = run_jobs(mix_sweep_jobs(hcfg, [mix], mechanisms))
+    rows = [
+        [
+            "none (baseline)" if row.mechanism == "none" else row.mechanism,
+            round(row.norm.weighted_speedup, 3),
+            round(row.norm_energy, 3),
+            row.victim_refreshes,
+            row.bitflips,
+        ]
+        for row in assemble_mix_rows(hcfg, [mix], mechanisms, "attack", results)
+    ]
 
     print(
         format_table(
@@ -52,7 +47,7 @@ def main() -> None:
         "\nbenign threads speed up and DRAM energy drops."
         "\n(probabilistic mechanisms may show residual flips here: their"
         "\nper-ACT probabilities are paper-scale-tuned, and the scaled"
-        "\nwindow compresses NRH — see EXPERIMENTS.md, scaling caveats.)"
+        "\nwindow compresses NRH.)"
     )
 
 

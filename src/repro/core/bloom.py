@@ -80,7 +80,6 @@ class CountingBloomFilter:
         # A plain list outperforms a numpy array for the single-element
         # reads/writes this hot path performs.
         self._counters = [0] * size
-        self._saturated = 0
         self.insertions = 0
 
     def insert(self, key: int) -> int:
@@ -93,8 +92,6 @@ class CountingBloomFilter:
             if value < cap:
                 value += 1
                 counters[index] = value
-                if value == cap:
-                    self._saturated += 1
             if value < estimate:
                 estimate = value
         self.insertions += 1
@@ -108,16 +105,6 @@ class CountingBloomFilter:
     def clear(self, reseed: bool = True) -> None:
         """Zero all counters and (by default) re-randomize hash seeds."""
         self._counters = [0] * self.size
-        self._saturated = 0
         self.insertions = 0
         if reseed:
             self.hashes.reseed()
-
-    def saturated_fraction(self) -> float:
-        """Fraction of counters at ``counter_max``.
-
-        Tracked incrementally in :meth:`insert` (counters saturate and
-        never decrease between clears), so this is O(1) instead of a
-        full scan of the counter array.
-        """
-        return self._saturated / self.size

@@ -27,10 +27,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 @dataclass(frozen=True)
 class AccessResult:

@@ -43,11 +43,6 @@ class DisturbanceProfile:
         """Sum of c_k over the blast radius (one side)."""
         return sum(self.impact(k) for k in range(1, self.blast_radius + 1))
 
-    @classmethod
-    def paper_worst_case(cls, nrh: int = 32768) -> "DisturbanceProfile":
-        """r_blast=6, c_k=0.5^(k-1): the worst case in Kim et al. [72, 73]."""
-        return cls(nrh=nrh, blast_radius=6, decay=0.5)
-
 
 @dataclass(frozen=True)
 class BitFlip:
@@ -137,7 +132,3 @@ class DisturbanceModel:
     def max_disturbance(self) -> float:
         """Largest accumulated disturbance across all rows (0 if none)."""
         return max(self._disturbance.values(), default=0.0)
-
-    def tracked_rows(self) -> int:
-        """Number of rows with nonzero accumulated disturbance."""
-        return len(self._disturbance)

@@ -79,11 +79,6 @@ class DramSpec:
     # Derived quantities.
     # ------------------------------------------------------------------
     @property
-    def total_banks(self) -> int:
-        """Number of banks across all ranks of one channel."""
-        return self.ranks * self.banks_per_rank
-
-    @property
     def capacity_bytes(self) -> int:
         """Total addressable bytes across all channels (addresses beyond
         this wrap in :class:`~repro.dram.address.AddressMapping`)."""
@@ -106,15 +101,6 @@ class DramSpec:
     def rows_per_refresh_group(self) -> int:
         """Rows per bank refreshed by a single REF command."""
         return max(1, self.rows_per_bank // self.refresh_groups)
-
-    @property
-    def max_acts_per_refresh_window(self) -> float:
-        """Upper bound on single-bank ACTs within one tREFW (via tRC)."""
-        return self.tREFW / self.tRC
-
-    def read_latency(self) -> float:
-        """Data availability latency after a RD command issues."""
-        return self.tCL + self.tBL
 
     # ------------------------------------------------------------------
     # Scaling for tractable simulation.

@@ -69,6 +69,7 @@ from repro.harness.retry import ExecPolicy, resolve_policy
 from repro.harness.runner import HarnessConfig, Runner, RunOutcome
 from repro.obs.profile import JobProfile
 from repro.os.spec import GovernorSpec
+from repro.os.telemetry import sample_telemetry
 from repro.sim.stats import SimResult
 from repro.utils.aggregate import merge_fields
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix
@@ -99,16 +100,11 @@ def _extract_thread_rhli(outcome: RunOutcome) -> list[float | None]:
     the per-channel mechanism instances (the paper's RHLI is the worst
     exposure anywhere in the system).  Threads report ``None`` when no
     channel's mechanism tracks RHLI (reactive baselines in the governor
-    sweeps) — the BlockHammer-family sweeps always get floats."""
-    out: list[float | None] = []
-    for thread in range(len(outcome.result.threads)):
-        values = [
-            mechanism.thread_max_rhli(thread)
-            for mechanism in outcome.mechanisms
-            if hasattr(mechanism, "thread_max_rhli")
-        ]
-        out.append(max(values) if values else None)
-    return out
+    sweeps) — the BlockHammer-family sweeps always get floats.  The
+    cross-channel rule is :func:`~repro.os.telemetry.sample_telemetry`'s,
+    the one the OS governor reads."""
+    sample = sample_telemetry(outcome.mechanisms, len(outcome.result.threads), 0.0)
+    return [thread.rhli for thread in sample.threads]
 
 
 def _extract_channel_attribution(outcome: RunOutcome) -> list[dict]:
@@ -125,8 +121,10 @@ def _extract_channel_attribution(outcome: RunOutcome) -> list[dict]:
     ``false_positive_acts``; zero for mechanisms without delay stats).
     Controller-side throttle events (blocked injections) live on
     :class:`~repro.sim.stats.ChannelResult` instead.  Aggregation
-    contract: counters sum across channels, RHLI maxes — mirrored by
-    :func:`_extract_thread_rhli` and asserted by the attribution tests.
+    contract: counters sum across channels, RHLI maxes — applied by
+    :func:`~repro.os.telemetry.sample_telemetry` (which
+    :func:`_extract_thread_rhli` reads) and asserted by the attribution
+    tests.
     """
     rows = []
     for channel, mechanism in enumerate(outcome.mechanisms):

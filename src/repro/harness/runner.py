@@ -216,7 +216,6 @@ class Runner:
         self.policy = policy
         self.capture_commands = capture_commands
         self.obs = obs
-        self._alone_ipc_cache: dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     def _build_system(
@@ -349,34 +348,6 @@ class Runner:
             governor=governor,
             **mechanism_kwargs,
         )
-
-    # ------------------------------------------------------------------
-    def alone_ipc(self, mix: WorkloadMix, slot: int) -> float:
-        """IPC of the mix's ``slot`` thread running alone on the baseline
-        system (cached across mechanisms and scenarios)."""
-        app = mix.app_names[slot]
-        pinned = mix.pinned_channel(slot)
-        threads = len(mix.app_names)
-        key = (app, self.hcfg.seed + slot, slot, pinned, threads)
-        if key not in self._alone_ipc_cache:
-            outcome = self.run_single(
-                app, "none", slot=slot, pinned=pinned, threads=threads
-            )
-            self._alone_ipc_cache[key] = outcome.result.threads[0].ipc
-        return self._alone_ipc_cache[key]
-
-    def benign_ipc_maps(
-        self, mix: WorkloadMix, outcome: RunOutcome
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """(shared, alone) IPC maps over the mix's benign threads."""
-        shared: dict[int, float] = {}
-        alone: dict[int, float] = {}
-        for slot in range(len(mix.app_names)):
-            if slot in mix.attacker_threads:
-                continue
-            shared[slot] = outcome.result.threads[slot].ipc
-            alone[slot] = self.alone_ipc(mix, slot)
-        return shared, alone
 
     # ------------------------------------------------------------------
     def _benign_trace(

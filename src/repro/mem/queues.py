@@ -30,7 +30,7 @@ the next scheduling step and re-caches the result.
 
 from __future__ import annotations
 
-from repro.dram.address import BANK_KEY_BITS, bank_key
+from repro.dram.address import BANK_KEY_BITS
 from repro.mem.request import Request
 from repro.utils.validation import require
 
@@ -165,12 +165,3 @@ class RequestQueue:
         for key in [k for k in self.bank_cache if lo <= k < hi]:
             del self.bank_cache[key]
             self.dirty.add(key)
-
-    def invalidate_all(self) -> None:
-        """Drop every cached bank decision."""
-        self.dirty.update(self.bank_cache)
-        self.bank_cache.clear()
-
-    def requests_for_bank(self, rank: int, bank: int) -> list[Request]:
-        """Queued requests targeting (rank, bank), oldest first."""
-        return list(self.by_bank.get(bank_key(rank, bank), ()))

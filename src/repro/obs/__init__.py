@@ -22,7 +22,8 @@ The zero-overhead contract: with observability off (the default),
 component probe attributes stay ``None`` — bound once at init — and the
 only residual cost is an attribute test on branches that already fire
 rarely (a quota rejection, a REF/VREF issue, an epoch rotation).  The
-golden fixtures and ``scripts/perf_guard.py`` pin this down.
+golden fixtures and the count gate's executed bytecodes
+(``scripts/ledger_smoke.py``) pin this down.
 """
 
 from repro.obs.metrics import EpochMetricsCollector

@@ -65,13 +65,6 @@ def test_sets_isolate_addresses():
     assert cache.contains(0) and cache.contains(64)
 
 
-def test_miss_rate():
-    cache = make_cache()
-    cache.access(0, False)
-    cache.access(0, False)
-    assert cache.stats.miss_rate == pytest.approx(0.5)
-
-
 def test_invalid_geometry():
     with pytest.raises(ConfigError):
         SetAssocCache(size_bytes=1000, ways=3, line_bytes=64)

@@ -6,6 +6,8 @@ tens of seconds; the benchmarks use larger settings.
 
 import pytest
 
+from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
+from repro.harness.parallel import mix_key, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import HarnessConfig, Runner
 from repro.workloads.mixes import attack_mixes, benign_mixes
@@ -54,20 +56,18 @@ def test_run_mix_attack_thread_untargeted(runner):
     assert outcome.result.threads[0].mem.activations > 0
 
 
-def test_alone_ipc_cached(runner):
-    mix = benign_mixes(1)[0]
-    first = runner.alone_ipc(mix, 1)
-    second = runner.alone_ipc(mix, 1)
-    assert first == second
-    assert first > 0.0
-
-
-def test_benign_ipc_maps_exclude_attacker(runner):
+def test_benign_ipc_maps_exclude_attacker(hcfg):
+    """A sweep declares no alone run for the attacker slot, and the
+    (shared, alone) maps its rows normalize by cover the benign slots
+    only."""
     mix = attack_mixes(1)[0]
-    outcome = runner.run_mix(mix, "none")
-    shared, alone = runner.benign_ipc_maps(mix, outcome)
-    assert 0 not in shared
+    jobs = mix_sweep_jobs(hcfg, [mix], [])
+    assert all(job.slot != 0 for job in jobs if job.kind == "single")
+    results = run_jobs(jobs, 1, cache=False)
+    base = results[mix_key(hcfg, mix, "none")]
+    shared, alone = _benign_ipc_maps(hcfg, mix, base, results)
     assert set(shared) == set(alone) == set(range(1, 8))
+    assert all(ipc > 0.0 for ipc in alone.values())
 
 
 def test_alone_trace_mirrors_mix_width(runner, hcfg):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.address import DecodedAddress
+from repro.dram.address import DecodedAddress, bank_key
 from repro.mem.queues import RequestQueue
 from repro.mem.request import Request, RequestKind
 from repro.utils.validation import ConfigError
@@ -48,8 +48,8 @@ def test_requests_for_bank_filters():
     c = make_request(bank=0)
     for r in (a, b, c):
         queue.push(r)
-    assert queue.requests_for_bank(0, 0) == [a, c]
-    assert queue.requests_for_bank(0, 1) == [b]
+    assert queue.by_bank[bank_key(0, 0)] == [a, c]
+    assert queue.by_bank[bank_key(0, 1)] == [b]
 
 
 def test_request_denormalized_fields():

@@ -22,8 +22,8 @@ def test_impact_factors():
 
 
 def test_paper_worst_case_profile():
-    profile = DisturbanceProfile.paper_worst_case()
-    assert profile.blast_radius == 6
+    # r_blast=6, c_k=0.5^(k-1): the worst case in Kim et al. [72, 73].
+    profile = DisturbanceProfile(nrh=32768, blast_radius=6, decay=0.5)
     # Eq. 3 denominator: NRH* = 0.2539 NRH for this profile.
     nrh_star_ratio = 1.0 / (2.0 * profile.impact_sum())
     assert nrh_star_ratio == pytest.approx(0.2539, abs=1e-3)
@@ -110,7 +110,6 @@ def test_edge_rows_clip():
     model.on_activate(0, now=0.0)
     assert model.disturbance_of(1) == 1.0
     assert model.disturbance_of(2) == 0.5
-    assert model.tracked_rows() == 2
 
 
 def test_max_disturbance():

@@ -129,8 +129,9 @@ def test_explicit_bank_and_rank_invalidation():
     assert set(queue.bank_cache) == {bank_key(0, 0), bank_key(1, 2)}
     queue.invalidate_rank(0)
     assert set(queue.bank_cache) == {bank_key(1, 2)}
-    queue.invalidate_all()
+    queue.invalidate_rank(1)
     assert not queue.bank_cache
+    assert queue.dirty >= set(entries)
 
 
 def test_issued_command_dirties_exactly_its_bank_in_both_queues(small_spec, device):
