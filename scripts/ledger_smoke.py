@@ -24,7 +24,8 @@ the benchmark's interleaved A/B (``perfbench/run.py``), not here.
 On a mismatch the measured values are printed as Python literals;
 paste them over the constants below when the change is deliberate.
 The bytecode constants are CPython 3.11's, the interpreter CI runs;
-other minor versions compile different bytecode.
+other minor versions compile different bytecode, so the gate refuses
+to run on them rather than report every layer as off.
 
 Run from the repository root (~15 s)::
 
@@ -133,6 +134,13 @@ def traced_bytecodes(run) -> dict[str, int]:
 
 
 def main() -> int:
+    if sys.version_info[:2] != (3, 11):
+        print(
+            "count gate: the bytecode constants are CPython 3.11's; "
+            "this is %d.%d" % sys.version_info[:2],
+            file=sys.stderr,
+        )
+        return 2
     book = ledger.Ledger()
     ledger.install(book)
     from repro.harness import parallel

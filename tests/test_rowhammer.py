@@ -108,8 +108,13 @@ def test_blast_radius_decay():
 def test_edge_rows_clip():
     model = make_model(nrh=100, blast=2)
     model.on_activate(0, now=0.0)
+    model.on_activate(model.rows - 1, now=0.0)
     assert model.disturbance_of(1) == 1.0
     assert model.disturbance_of(2) == 0.5
+    assert model.disturbance_of(model.rows - 2) == 1.0
+    assert model.disturbance_of(model.rows - 3) == 0.5
+    for outside in (-2, -1, model.rows, model.rows + 1):
+        assert model.disturbance_of(outside) == 0.0
 
 
 def test_max_disturbance():
